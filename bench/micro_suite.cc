@@ -1,17 +1,15 @@
 /**
  * @file
  * The BENCH_micro experiment: whole-cell simulate() throughput of a
- * Figure-18-style predictor mix, flat tables vs the retained
- * reference tables, plus the three-engine (per-column / single-pass
- * / fused) comparison on the Figure-17 row sweep. Lives in the
- * suites library - separate from the google-benchmark loops in
- * micro_throughput.cc - so the ibpd daemon can serve it like any
+ * Figure-18-style predictor mix, plus the three-engine (per-column /
+ * single-pass / fused) comparison on the Figure-17 row sweep. Lives
+ * in the suites library - separate from the google-benchmark loops
+ * in micro_throughput.cc - so the ibpd daemon can serve it like any
  * paper experiment.
  *
- * Only the flat cells are recorded into the telemetry, so the
- * artifact's branches_per_second is the flat-table aggregate and CI
- * can hold it to a floor with report_diff --min-throughput; the
- * emitted table carries both sides plus the speedup.
+ * The whole-cell mix is recorded into the telemetry, so the
+ * artifact's branches_per_second is its aggregate and CI can hold it
+ * to a floor with report_diff --min-throughput.
  */
 
 #include <algorithm>
@@ -127,10 +125,9 @@ fig17Row()
 }
 
 /**
- * Best-of-@p reps whole-cell simulate() run under the current table
- * implementation. Fresh predictor per rep (cold tables every time,
- * like a real sweep cell); best rather than mean discards scheduler
- * noise.
+ * Best-of-@p reps whole-cell simulate() run. Fresh predictor per
+ * rep (cold tables every time, like a real sweep cell); best rather
+ * than mean discards scheduler noise.
  */
 ibp::SimResult
 bestOf(const MixCell &cell, unsigned reps)
@@ -155,64 +152,38 @@ microThroughputExperiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "BENCH_micro",
-        "Simulation throughput: flat tables vs reference",
+        "Simulation throughput: whole-cell mix and fig17-row engines",
         [](ExperimentContext &context) {
             const unsigned reps = context.quick() ? 2 : 3;
-            const TableImpl initial = tableImplementation();
             const auto mix = fig18Mix();
 
             ResultTable table(
                 "Whole-cell throughput on porky-100k (Mbranches/s)",
                 "predictor");
-            table.addColumn("flat");
-            table.addColumn("reference");
-            table.addColumn("speedup");
+            table.addColumn("Mbranches/s");
 
-            double flat_seconds = 0.0;
-            double reference_seconds = 0.0;
+            double mix_seconds = 0.0;
             for (const MixCell &cell : mix) {
-                setTableImplementation(TableImpl::Reference);
-                const SimResult reference = bestOf(cell, reps);
-                setTableImplementation(TableImpl::Flat);
-                const SimResult flat = bestOf(cell, reps);
+                const SimResult result = bestOf(cell, reps);
+                table.set(cell.label, "Mbranches/s",
+                          static_cast<double>(result.branches) /
+                              result.seconds / 1e6);
 
-                const double flat_rate =
-                    static_cast<double>(flat.branches) /
-                    flat.seconds / 1e6;
-                const double reference_rate =
-                    static_cast<double>(reference.branches) /
-                    reference.seconds / 1e6;
-                table.set(cell.label, "flat", flat_rate);
-                table.set(cell.label, "reference", reference_rate);
-                table.set(cell.label, "speedup",
-                          flat_rate / reference_rate);
-
-                // Only the flat side lands in the telemetry: the
-                // artifact's branches_per_second is then the flat
+                // The artifact's branches_per_second is then the mix
                 // aggregate, which the CI throughput floor gates.
                 CellMetrics recorded;
                 recorded.column = cell.label;
                 recorded.benchmark = "porky-100k";
-                recorded.branches = flat.branches;
-                recorded.seconds = flat.seconds;
-                recorded.groupSeconds = flat.groupSeconds;
-                recorded.tableOccupancy = flat.tableOccupancy;
-                recorded.tableCapacity = flat.tableCapacity;
+                recorded.branches = result.branches;
+                recorded.seconds = result.seconds;
+                recorded.groupSeconds = result.groupSeconds;
+                recorded.tableOccupancy = result.tableOccupancy;
+                recorded.tableCapacity = result.tableCapacity;
                 context.metrics().recordCell(recorded);
-                flat_seconds += flat.seconds;
-                reference_seconds += reference.seconds;
+                mix_seconds += result.seconds;
             }
-            context.metrics().recordRunWindow(flat_seconds);
-            setTableImplementation(initial);
-
+            context.metrics().recordRunWindow(mix_seconds);
             context.emit(table);
-            context.note(
-                "Aggregate flat speedup over the mix: " +
-                formatFixed(reference_seconds /
-                                std::max(flat_seconds, 1e-12),
-                            2) +
-                "x (best-of-" + std::to_string(reps) +
-                " per cell, cold predictor per rep).");
 
             // ---------------------------------------------------
             // The fig17 hybrid-grid mix, three engines: per-column
@@ -225,7 +196,6 @@ microThroughputExperiment()
             // three (tests/sim/fused_kernel_test.cc); only the time
             // differs, and fused-over-single-pass is the speedup
             // SuiteRunner's phase-1 engine banks on real sweeps.
-            setTableImplementation(TableImpl::Flat);
             const auto row = fig17Row();
             double solo_seconds = 0.0;
             std::uint64_t row_branches = 0;
@@ -265,8 +235,6 @@ microThroughputExperiment()
                         best = seconds;
                 }
             }
-            setTableImplementation(initial);
-
             ResultTable fig17_table(
                 "Figure-17 row sweep (p1=3, 13 columns) on "
                 "porky-100k: per-column vs single-pass vs fused",

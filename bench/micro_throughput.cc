@@ -9,8 +9,8 @@
  *  - Artifact mode (any --json=, --csv= or --daemon argument): the
  *    BENCH_micro experiment (micro_suite.cc) through the standard
  *    bench front end, daemon routing included - measures whole-cell
- *    simulate() throughput flat vs reference and writes a
- *    BENCH_micro run artifact for the CI throughput floor.
+ *    simulate() throughput and writes a BENCH_micro run artifact
+ *    for the CI throughput floor.
  *
  * Not a paper experiment - this guards the simulation engine's
  * performance, which bounds how large the reproduction sweeps can be.

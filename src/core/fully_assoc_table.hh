@@ -12,9 +12,9 @@
  * a contiguous node pool by 32-bit indices, with a FlatMap from key
  * to pool index — no std::list, no per-entry allocation, and an
  * eviction recycles the victim's node in place. The previous
- * std::list implementation is retained as ReferenceFullyAssocTable
- * (core/reference_tables.hh) and differential tests pin the two
- * bit-identical.
+ * std::list implementation is kept as a test-only oracle in
+ * tests/oracle/reference_tables.hh, and the differential tests
+ * there pin the two bit-identical.
  */
 
 #ifndef IBP_CORE_FULLY_ASSOC_TABLE_HH

@@ -20,11 +20,9 @@
 #define IBP_CORE_HISTORY_REGISTER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flat_table.hh"
-#include "core/table_spec.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -94,7 +92,6 @@ class HistoryRegister
      */
     HistoryRegister(unsigned depth, unsigned sharingBits = 32)
         : _depth(depth), _sharingBits(sharingBits),
-          _flat(tableImplementation() == TableImpl::Flat),
           _global(depth)
     {
         IBP_ASSERT(sharingBits >= 2 && sharingBits <= 32,
@@ -133,7 +130,6 @@ class HistoryRegister
         _global.clear();
         _sets.clear();
         _buffers.clear();
-        _refSets.clear();
         _memoValid = false;
     }
 
@@ -141,7 +137,7 @@ class HistoryRegister
     std::size_t
     touchedSets() const
     {
-        return isGlobal() ? 1 : (_flat ? _sets.size() : _refSets.size());
+        return isGlobal() ? 1 : _sets.size();
     }
 
   private:
@@ -150,20 +146,12 @@ class HistoryRegister
     {
         if (isGlobal())
             return _global;
-        if (!_flat) {
-            // The retained node-based original (the differential
-            // oracle): one unordered_map probe per consultation.
-            auto [it, inserted] =
-                _refSets.try_emplace(setId(pc), _depth);
-            return it->second;
-        }
-        // Flat path: the FlatMap holds pool indices (trivially
-        // copyable), the buffers themselves live in _buffers. A
-        // branch consults its set twice back to back (key build in
-        // predict(), push in update()), so a one-entry memo turns
-        // the second probe into a compare. Pool indices are stable
-        // (buffers are only appended), so the memo survives FlatMap
-        // growth.
+        // The FlatMap holds pool indices (trivially copyable), the
+        // buffers themselves live in _buffers. A branch consults its
+        // set twice back to back (key build in predict(), push in
+        // update()), so a one-entry memo turns the second probe into
+        // a compare. Pool indices are stable (buffers are only
+        // appended), so the memo survives FlatMap growth.
         const std::uint32_t set = setId(pc);
         if (_memoValid && _memoSet == set)
             return _buffers[_memoIndex];
@@ -181,14 +169,12 @@ class HistoryRegister
 
     unsigned _depth;
     unsigned _sharingBits;
-    bool _flat;
     bool _memoValid = false;
     std::uint32_t _memoSet = 0;
     std::uint32_t _memoIndex = 0;
     HistoryBuffer _global;
     FlatMap<std::uint32_t, std::uint32_t> _sets;
     std::vector<HistoryBuffer> _buffers;
-    std::unordered_map<std::uint32_t, HistoryBuffer> _refSets;
 };
 
 } // namespace ibp

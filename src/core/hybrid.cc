@@ -49,8 +49,7 @@ HybridConfig::twoComponent(const TwoLevelConfig &first,
 }
 
 HybridPredictor::HybridPredictor(const HybridConfig &config)
-    : _config(config),
-      _flatSelector(tableImplementation() == TableImpl::Flat)
+    : _config(config)
 {
     _config.validate();
     for (auto component : _config.components) {
@@ -70,11 +69,6 @@ HybridPredictor::selectorCounter(Addr pc)
 {
     if (!_selectorTable.empty())
         return _selectorTable[(pc >> 2) & (_selectorTable.size() - 1)];
-    if (!_flatSelector) {
-        auto [it, inserted] =
-            _refSelectorMap.try_emplace(pc, SatCounter(2));
-        return it->second;
-    }
     bool inserted = false;
     return _selectorMap.findOrInsert(pc, inserted);
 }
@@ -172,7 +166,6 @@ HybridPredictor::reset()
     for (auto &counter : _selectorTable)
         counter.reset();
     _selectorMap.clear();
-    _refSelectorMap.clear();
     _cacheValid = false;
     _lastChosen = -1;
 }

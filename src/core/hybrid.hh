@@ -23,7 +23,6 @@
 #define IBP_CORE_HYBRID_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flat_table.hh"
@@ -119,13 +118,9 @@ class HybridPredictor final : public IndirectPredictor
 
     // Selector-mode state. The unconstrained per-branch map is a
     // FlatMap: a default-constructed SatCounter is the same 2-bit
-    // zero counter the bounded table is filled with. The reference
-    // implementation keeps the original node map (_flatSelector is
-    // captured at construction from tableImplementation()).
-    bool _flatSelector = true;
+    // zero counter the bounded table is filled with.
     std::vector<SatCounter> _selectorTable;
     FlatMap<Addr, SatCounter> _selectorMap;
-    std::unordered_map<Addr, SatCounter> _refSelectorMap;
 
     // predict()/update() pairs share the component predictions.
     bool _cacheValid = false;

@@ -18,34 +18,16 @@ fullPrecisionSpec(unsigned path_length)
 NextBranchPredictor::NextBranchPredictor(unsigned path_length,
                                          bool hysteresis)
     : _hysteresis(hysteresis),
-      _flat(tableImplementation() == TableImpl::Flat),
       _builder(fullPrecisionSpec(path_length)),
       _history(path_length, 32)
 {
-}
-
-NextBranchPredictor::Entry &
-NextBranchPredictor::findOrInsertEntry(const Key &key, bool &inserted)
-{
-    if (!_flat) {
-        auto [it, emplaced] = _refEntries.try_emplace(key);
-        inserted = emplaced;
-        return it->second;
-    }
-    return _entries.findOrInsert(key, inserted);
 }
 
 NextBranchPrediction
 NextBranchPredictor::predict(Addr pc)
 {
     const Key key = _builder.buildKey(pc, _history.buffer(pc));
-    const Entry *entry = nullptr;
-    if (_flat) {
-        entry = _entries.find(key);
-    } else {
-        const auto it = _refEntries.find(key);
-        entry = it == _refEntries.end() ? nullptr : &it->second;
-    }
+    const Entry *entry = _entries.find(key);
     if (entry == nullptr)
         return NextBranchPrediction{};
     return NextBranchPrediction{true, entry->target, entry->nextPc};
@@ -56,7 +38,7 @@ NextBranchPredictor::update(Addr pc, Addr actual, Addr next_pc)
 {
     const Key key = _builder.buildKey(pc, _history.buffer(pc));
     bool inserted = false;
-    Entry &entry = findOrInsertEntry(key, inserted);
+    Entry &entry = _entries.findOrInsert(key, inserted);
     if (inserted) {
         entry.target = actual;
         entry.nextPc = next_pc;
@@ -73,7 +55,6 @@ void
 NextBranchPredictor::reset()
 {
     _entries.clear();
-    _refEntries.clear();
     _history.reset();
 }
 

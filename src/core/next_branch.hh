@@ -19,7 +19,6 @@
 #define IBP_CORE_NEXT_BRANCH_HH
 
 #include <string>
-#include <unordered_map>
 
 #include "core/flat_table.hh"
 #include "core/history_register.hh"
@@ -57,11 +56,7 @@ class NextBranchPredictor
 
     void reset();
     std::string name() const;
-    std::size_t
-    entries() const
-    {
-        return _flat ? _entries.size() : _refEntries.size();
-    }
+    std::size_t entries() const { return _entries.size(); }
 
   private:
     struct Entry
@@ -71,14 +66,10 @@ class NextBranchPredictor
         HysteresisBit hysteresis;
     };
 
-    Entry &findOrInsertEntry(const Key &key, bool &inserted);
-
     bool _hysteresis;
-    bool _flat;
     PatternBuilder _builder;
     HistoryRegister _history;
     FlatMap<Key, Entry, KeyHash> _entries;
-    std::unordered_map<Key, Entry, KeyHash> _refEntries;
 };
 
 } // namespace ibp

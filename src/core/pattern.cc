@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/simd.hh"
-#include "core/table_spec.hh"
 #include "util/logging.hh"
 
 namespace ibp {
@@ -154,8 +153,7 @@ scatterBits(std::uint64_t value, std::uint64_t mask, bool hw)
 
 PatternBuilder::PatternBuilder(const PatternSpec &spec)
     : _spec(spec), _bits(spec.resolvedBitsPerTarget()),
-      _scatterHw(simdScatterEnabled()),
-      _flat(tableImplementation() == TableImpl::Flat)
+      _scatterHw(simdScatterEnabled())
 {
     _spec.validate();
 
@@ -206,58 +204,6 @@ PatternBuilder::compressTarget(Addr target) const
         return target;
     }
     panic("unreachable compressor kind");
-}
-
-std::uint64_t
-PatternBuilder::referenceInterleavedPattern(
-    const HistoryBuffer &history) const
-{
-    // The retained seed implementation, the differential oracle for
-    // the scatter-mask assembly below: compress every target, then
-    // place the pattern bit by bit with an explicit round/slot
-    // schedule.
-    const unsigned p = _spec.pathLength;
-    const unsigned total = _bits * p;
-
-    std::array<std::uint64_t, 64> compressed{};
-    IBP_ASSERT(p <= compressed.size(), "path length %u", p);
-    for (unsigned i = 0; i < p; ++i)
-        compressed[i] = compressTarget(history.at(i));
-
-    if (_spec.interleave == InterleaveKind::Concat) {
-        std::uint64_t pattern = 0;
-        for (unsigned i = 0; i < p; ++i)
-            pattern |= compressed[i] << (i * _bits);
-        return pattern;
-    }
-
-    std::array<unsigned, 64> order{};
-    switch (_spec.interleave) {
-      case InterleaveKind::Straight:
-        for (unsigned q = 0; q < p; ++q)
-            order[q] = q;
-        break;
-      case InterleaveKind::Reverse:
-        for (unsigned q = 0; q < p; ++q)
-            order[q] = p - 1 - q;
-        break;
-      case InterleaveKind::PingPong:
-        for (unsigned q = 0; q < p; ++q)
-            order[q] = (q % 2 == 0) ? q / 2 : p - 1 - q / 2;
-        break;
-      case InterleaveKind::Concat:
-        panic("unreachable interleave kind");
-    }
-
-    std::uint64_t pattern = 0;
-    for (unsigned j = 0; j < total; ++j) {
-        const unsigned round = j / p;
-        const unsigned slot = j % p;
-        const std::uint64_t bit =
-            (compressed[order[slot]] >> round) & 1;
-        pattern |= bit << j;
-    }
-    return pattern;
 }
 
 std::uint64_t
@@ -313,8 +259,6 @@ PatternBuilder::assemblePattern(const HistoryBuffer &history) const
         return 0;
     if (_spec.compressor == CompressorKind::ShiftXor)
         return shiftXorPattern(history);
-    if (!_flat)
-        return referenceInterleavedPattern(history);
     return interleavedPattern(history);
 }
 
@@ -342,7 +286,7 @@ PatternBuilder::buildKey(Addr pc, const HistoryBuffer &history) const
 bool
 PatternBuilder::fastAssemblyEligible() const
 {
-    return _flat && _spec.precision == PrecisionMode::Limited &&
+    return _spec.precision == PrecisionMode::Limited &&
            _spec.compressor == CompressorKind::BitSelect &&
            _spec.pathLength > 0;
 }
@@ -373,7 +317,7 @@ PatternBuilder::assembleFromCompressed(
 bool
 PatternBuilder::incrementalAdvanceEligible() const
 {
-    if (!_flat || _spec.precision != PrecisionMode::Limited ||
+    if (_spec.precision != PrecisionMode::Limited ||
         _spec.pathLength == 0)
         return false;
     // ShiftXor is a shift-and-xor by construction (the interleave

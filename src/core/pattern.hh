@@ -144,9 +144,9 @@ class PatternBuilder
 
     /**
      * True when this recipe can assemble its pattern from an external
-     * cache of bit-selected targets (assembleFromCompressed): flat
-     * build, limited precision, BitSelect compressor, p > 0. Sweep
-     * kernels share one such cache across every column of a group.
+     * cache of bit-selected targets (assembleFromCompressed): limited
+     * precision, BitSelect compressor, p > 0. Sweep kernels share one
+     * such cache across every column of a group.
      */
     bool fastAssemblyEligible() const;
 
@@ -190,7 +190,7 @@ class PatternBuilder
      * True when the pattern can be maintained *incrementally*: given
      * the pattern over targets (t0..tp-1), one call to
      * advancePattern() produces the pattern over (new, t0..tp-2)
-     * without revisiting the history buffer. Holds for every flat
+     * without revisiting the history buffer. Holds for every
      * limited-precision recipe whose assembly is a per-push shift -
      * Concat/Straight/Reverse interleaves and ShiftXor (PingPong's
      * schedule is not a uniform shift). Sweep kernels use this to
@@ -215,8 +215,6 @@ class PatternBuilder
 
   private:
     std::uint64_t interleavedPattern(const HistoryBuffer &history) const;
-    std::uint64_t
-    referenceInterleavedPattern(const HistoryBuffer &history) const;
     std::uint64_t shiftXorPattern(const HistoryBuffer &history) const;
 
     PatternSpec _spec;
@@ -228,16 +226,6 @@ class PatternBuilder
      * of a global config load in the hottest assembly loop.
      */
     bool _scatterHw;
-
-    /**
-     * Captured from tableImplementation() at construction: the
-     * Reference build keeps the seed's bit-by-bit interleaving
-     * (referenceInterleavedPattern) so the differential tests pin
-     * the precomputed-scatter assembly against the original, and so
-     * the flat-vs-reference throughput comparison measures the whole
-     * per-branch engine rather than table storage alone.
-     */
-    bool _flat;
 
     /**
      * Round-robin interleaving, precomputed: _scatter[i] has one bit

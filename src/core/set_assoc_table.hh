@@ -12,9 +12,9 @@
  * the tag) in a contiguous side array, FlatMap-style: a probe scans
  * the byte array and only dereferences a 32-byte Way on a digest
  * match, which rejects almost every non-matching way with one cache
- * line per set. Behaviour is identical to the digest-free
- * ReferenceSetAssocTable (core/reference_tables.hh) — the full tag
- * and the valid bit are still what decide a hit.
+ * line per set. Behaviour is identical to the digest-free original,
+ * kept as a test-only oracle in tests/oracle/reference_tables.hh —
+ * the full tag and the valid bit are still what decide a hit.
  */
 
 #ifndef IBP_CORE_SET_ASSOC_TABLE_HH

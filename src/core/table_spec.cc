@@ -1,71 +1,12 @@
 #include "core/table_spec.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
-
 #include "core/fully_assoc_table.hh"
-#include "core/reference_tables.hh"
 #include "core/set_assoc_table.hh"
 #include "core/tagless_table.hh"
 #include "core/unconstrained_table.hh"
 #include "util/logging.hh"
 
 namespace ibp {
-
-namespace {
-
-TableImpl
-initialTableImpl()
-{
-#ifdef IBP_REFERENCE_TABLES
-    TableImpl impl = TableImpl::Reference;
-#else
-    TableImpl impl = TableImpl::Flat;
-#endif
-    // The environment wins over the compile-time default, in either
-    // direction: IBP_REFERENCE_TABLES=0 re-enables the flat tables
-    // even in a reference build.
-    if (const char *env = std::getenv("IBP_REFERENCE_TABLES")) {
-        const std::string_view value(env);
-        impl = (value.empty() || value == "0") ? TableImpl::Flat
-                                               : TableImpl::Reference;
-    }
-    return impl;
-}
-
-std::atomic<TableImpl> &
-tableImplSlot()
-{
-    static std::atomic<TableImpl> slot{initialTableImpl()};
-    return slot;
-}
-
-} // namespace
-
-TableImpl
-tableImplementation()
-{
-    return tableImplSlot().load(std::memory_order_relaxed);
-}
-
-void
-setTableImplementation(TableImpl impl)
-{
-    tableImplSlot().store(impl, std::memory_order_relaxed);
-}
-
-const char *
-tableImplName(TableImpl impl)
-{
-    return impl == TableImpl::Reference ? "reference" : "flat";
-}
-
-const char *
-tableImplName()
-{
-    return tableImplName(tableImplementation());
-}
 
 std::string
 toString(TableKind kind)
@@ -139,30 +80,15 @@ std::unique_ptr<TargetTable>
 makeTable(const TableSpec &spec, EntryCounterSpec counters)
 {
     spec.validate();
-    const bool reference =
-        tableImplementation() == TableImpl::Reference;
     switch (spec.kind) {
       case TableKind::Unconstrained:
-        if (reference) {
-            return std::make_unique<ReferenceUnconstrainedTable>(
-                counters);
-        }
         return std::make_unique<UnconstrainedTable>(counters);
       case TableKind::FullyAssoc:
-        if (reference) {
-            return std::make_unique<ReferenceFullyAssocTable>(
-                spec.entries, counters);
-        }
         return std::make_unique<FullyAssocTable>(spec.entries, counters);
       case TableKind::SetAssoc:
-        if (reference) {
-            return std::make_unique<ReferenceSetAssocTable>(
-                spec.entries, spec.ways, counters);
-        }
         return std::make_unique<SetAssocTable>(spec.entries, spec.ways,
                                                counters);
       case TableKind::Tagless:
-        // Already a flat array; shared by both implementations.
         return std::make_unique<TaglessTable>(spec.entries, counters);
     }
     panic("unreachable table kind");

@@ -48,41 +48,6 @@ struct TableSpec
     static TableSpec tagless(std::uint64_t entries);
 };
 
-/**
- * Which storage implementation makeTable() instantiates:
- *  - Flat: the FlatMap / intrusive-LRU / tag-digest ports (default);
- *  - Reference: the retained node-based originals
- *    (core/reference_tables.hh), the behavioural oracle of the
- *    differential tests.
- *
- * The process-wide default is Flat, flipped to Reference by
- * compiling with -DIBP_REFERENCE_TABLES or by setting the
- * IBP_REFERENCE_TABLES environment variable to anything but "0";
- * setTableImplementation() overrides at runtime (used by the
- * differential tests and micro_throughput's flat-vs-reference
- * comparison). Both name() strings and all SimResult counters are
- * identical across the two, so the toggle is invisible in artifacts
- * except for the recorded table_impl field.
- */
-enum class TableImpl
-{
-    Flat,
-    Reference,
-};
-
-/** The implementation makeTable() currently instantiates. */
-TableImpl tableImplementation();
-
-/** Override the process-wide table implementation. Thread-safe, but
- * predictors built before the call keep their tables. */
-void setTableImplementation(TableImpl impl);
-
-/** "flat" / "reference". */
-const char *tableImplName(TableImpl impl);
-
-/** Name of the current implementation (for telemetry). */
-const char *tableImplName();
-
 /** Instantiate the table described by @p spec. */
 std::unique_ptr<TargetTable> makeTable(const TableSpec &spec,
                                        EntryCounterSpec counters = {});

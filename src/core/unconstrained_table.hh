@@ -9,9 +9,9 @@
  *
  * Entries live in a FlatMap (open addressing, one arena) instead of
  * the node-based std::unordered_map the original implementation
- * used; ReferenceUnconstrainedTable in core/reference_tables.hh
- * keeps that original, and the differential tests pin the two
- * bit-identical.
+ * used. That original is kept as a test-only oracle in
+ * tests/oracle/reference_tables.hh, and the differential tests
+ * there pin the two bit-identical.
  */
 
 #ifndef IBP_CORE_UNCONSTRAINED_TABLE_HH

@@ -25,7 +25,6 @@ RunMetrics::operator=(const RunMetrics &other)
     _traceMmapHits = other._traceMmapHits;
     _traceStreamHits = other._traceStreamHits;
     _traceSeconds = other._traceSeconds;
-    _tableImpl = other._tableImpl;
     _hasSweepKernel = other._hasSweepKernel;
     _sweepKernel = other._sweepKernel;
     _hasSimd = other._hasSimd;
@@ -90,13 +89,6 @@ RunMetrics::recordTraceSource(unsigned generated, unsigned mmap_hits,
     _traceMmapHits += mmap_hits;
     _traceStreamHits += stream_hits;
     _traceSeconds += seconds;
-}
-
-void
-RunMetrics::recordTableImpl(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _tableImpl = name;
 }
 
 void
@@ -279,13 +271,6 @@ RunMetrics::traceReadPath() const
     // Hits whose transport predates the mmap/stream split (a legacy
     // artifact loaded through fromJson).
     return "cache";
-}
-
-std::string
-RunMetrics::tableImpl() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _tableImpl;
 }
 
 double
@@ -524,12 +509,6 @@ RunMetrics::toJson() const
         }
         json.set("result_store", std::move(store));
     }
-
-    // Likewise emitted only when recorded, so artifacts produced
-    // before the flat/reference toggle keep their bytes.
-    const std::string table_impl = tableImpl();
-    if (!table_impl.empty())
-        json.set("table_impl", table_impl);
     return json;
 }
 
@@ -701,7 +680,6 @@ RunMetrics::fromJson(const Json &json)
             store.numberOr("cells_stolen", 0));
         metrics.recordResultStore(stats);
     }
-    metrics._tableImpl = json.stringOr("table_impl", "");
     return metrics;
 }
 

@@ -266,15 +266,6 @@ class RunMetrics
     void recordTraceSource(unsigned generated, unsigned mmapHits,
                            unsigned streamHits, double seconds);
 
-    /**
-     * Record which predictor-table implementation produced the run
-     * ("flat" or "reference", see core/table_spec.hh). Shows up as
-     * "table_impl" in the artifact so a regression-gate comparison
-     * against a baseline produced by the other implementation is
-     * visible in the diff context.
-     */
-    void recordTableImpl(const std::string &name);
-
     std::vector<CellMetrics> cells() const;
     std::size_t cellCount() const;
 
@@ -325,9 +316,6 @@ class RunMetrics
 
     /** True when recordTraceSource() was ever called. */
     bool hasTraceSource() const;
-
-    /** Table implementation recorded for this run ("" if never). */
-    std::string tableImpl() const;
 
     /**
      * Record fused-engine telemetry for one grid run. Cumulative
@@ -397,7 +385,6 @@ class RunMetrics
     unsigned _traceMmapHits = 0;
     unsigned _traceStreamHits = 0;
     double _traceSeconds = 0.0;
-    std::string _tableImpl;
     bool _hasSweepKernel = false;
     SweepKernelStats _sweepKernel;
     bool _hasSimd = false;

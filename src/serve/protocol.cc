@@ -14,7 +14,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/table_spec.hh"
 #include "report/artifact.hh"
 #include "sim/suite_runner.hh"
 #include "synth/benchmark_suite.hh"
@@ -335,14 +334,13 @@ RunRequest::signature() const
 {
     // Every knob that shapes the artifact, canonically rendered.
     // The old slug+quick signature let two requests differing only
-    // in event scale or table implementation coalesce onto one
+    // in event scale coalesce onto one
     // execution - one of them got the other's artifact. %.17g keeps
     // distinct doubles distinct (to_string truncates at 6 digits).
     char scale[32];
     std::snprintf(scale, sizeof(scale), "%.17g", eventScale);
     return slug + "|" + (quick ? "q" : "f") + "|e" + scale + "|t" +
-           std::to_string(threads) + "|i" + tableImpl + "|x" +
-           faultSpec;
+           std::to_string(threads) + "|x" + faultSpec;
 }
 
 std::string
@@ -357,10 +355,6 @@ RunRequest::incompatibilityWith(const RunRequest &mine) const
         return "thread count mismatch (client " +
                std::to_string(threads) + ", server " +
                std::to_string(mine.threads) + ")";
-    }
-    if (tableImpl != mine.tableImpl) {
-        return "table implementation mismatch (client '" + tableImpl +
-               "', server '" + mine.tableImpl + "')";
     }
     if (faultSpec != mine.faultSpec) {
         return "fault injection mismatch (client '" + faultSpec +
@@ -387,7 +381,6 @@ RunRequest::toJson() const
     json.set("rejects", rejects);
     json.set("event_scale", eventScale);
     json.set("threads", threads);
-    json.set("table_impl", tableImpl);
     json.set("git_sha", gitSha);
     json.set("fault_inject", faultSpec);
     return json;
@@ -409,7 +402,6 @@ RunRequest::fromJson(const Json &json)
     request.eventScale = json.numberOr("event_scale", 1.0);
     request.threads =
         static_cast<unsigned>(json.numberOr("threads", 0));
-    request.tableImpl = json.stringOr("table_impl", "");
     request.gitSha = json.stringOr("git_sha", "");
     request.faultSpec = json.stringOr("fault_inject", "");
     return request;
@@ -423,7 +415,6 @@ makeRunRequest(const std::string &slug, bool quick)
     request.quick = quick;
     request.eventScale = eventScale();
     request.threads = simulationThreads();
-    request.tableImpl = tableImplName();
     request.gitSha = buildManifest().gitSha;
     if (const char *env = std::getenv("IBP_FAULT_INJECT"))
         request.faultSpec = env;

@@ -81,7 +81,7 @@ Result<int> listenDaemon(const std::string &socketPath);
 
 /**
  * One "run" request. The compatibility fields (eventScale, threads,
- * tableImpl, gitSha) describe the CLIENT's effective configuration;
+ * gitSha, faultSpec) describe the CLIENT's effective configuration;
  * the server refuses requests whose configuration differs from its
  * own (frame "incompatible"), because a served artifact must be
  * bit-identical to the one the client would produce in-process.
@@ -97,7 +97,6 @@ struct RunRequest
     unsigned rejects = 0;
     double eventScale = 1.0;
     unsigned threads = 0;
-    std::string tableImpl;
     std::string gitSha;
     /** The client's IBP_FAULT_INJECT spec ("" = no injection). An
      *  armed injector changes which cells fail, so it must match
@@ -107,10 +106,10 @@ struct RunRequest
     /**
      * Coalescing signature: requests with equal signatures share one
      * execution. Folds in EVERY artifact-affecting knob (slug, quick,
-     * event scale, threads, table implementation, fault-injection
-     * spec); priority/rejects stay out on purpose, and the git sha
-     * is left to the compatibility check (incompatibilityWith),
-     * which knows how to treat unknown shas.
+     * event scale, threads, fault-injection spec); priority/rejects
+     * stay out on purpose, and the git sha is left to the
+     * compatibility check (incompatibilityWith), which knows how to
+     * treat unknown shas.
      */
     std::string signature() const;
 

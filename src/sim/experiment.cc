@@ -10,7 +10,6 @@
 #include <mutex>
 #include <new>
 
-#include "core/table_spec.hh"
 #include "robust/fault_injection.hh"
 #include "synth/benchmark_suite.hh"
 #include "util/logging.hh"
@@ -143,7 +142,6 @@ ExperimentContext::ExperimentContext(std::string slug,
     _session.cellClaims = _options.cellClaims;
 
     _metrics.recordThreads(simulationThreads());
-    _metrics.recordTableImpl(tableImplName());
 }
 
 std::size_t

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "core/spec_codec.hh"
-#include "core/table_spec.hh"
 #include "robust/atomic_file.hh"
 #include "robust/cache_sweep.hh"
 #include "util/json.hh"
@@ -188,8 +187,7 @@ ResultStore::cellKey(const std::string &trace_key,
     // directory stays human-debuggable.
     const std::string description =
         "sim=" + std::to_string(effectiveSimulatorVersion()) +
-        "|trace=" + trace_key + "|spec=" + specHashHex(spec_hash) +
-        "|impl=" + tableImplName();
+        "|trace=" + trace_key + "|spec=" + specHashHex(spec_hash);
     return trace_key + "-" + specHashHex(specBytesHash(description));
 }
 

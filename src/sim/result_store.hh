@@ -8,8 +8,7 @@
  * determines its counters:
  *
  *   cell key = FNV-1a( store format version | simulator version |
- *                      trace cache key | canonical spec hash |
- *                      table implementation )
+ *                      trace cache key | canonical spec hash )
  *
  * The trace cache key already folds in the generator version, the
  * full benchmark profile, the scaled event count (and therefore
@@ -166,8 +165,7 @@ class ResultStore
      * Content address of one cell. @p traceKey is
      * benchmarkTraceCacheKey(...); @p specHash is the canonical
      * predictor-spec hash (core/spec_codec.hh). The effective
-     * simulator version and the active table implementation are
-     * folded in here.
+     * simulator version is folded in here.
      */
     static std::string cellKey(const std::string &traceKey,
                                std::uint64_t specHash);

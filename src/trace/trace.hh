@@ -47,16 +47,15 @@ struct TraceColumns
  * identifying the (synthetic) benchmark it came from. Traces are
  * value types; the simulator only ever reads them.
  *
- * Records live in one of three places: an owned vector (generated or
- * parsed traces), a borrowed read-only record view whose lifetime is
- * held by a shared backing object (the mmap'ed v2 cache file — see
- * trace/trace_mmap.hh), or borrowed *columns* (separate pc/target/
- * meta streams, the mmap'ed v3 layout). Readers that touch
- * data()/size() see all three identically — a columnar trace
+ * Records live in one of two places: an owned vector (generated or
+ * parsed traces), or borrowed *columns* (separate pc/target/meta
+ * streams, the mmap'ed `.ibpm` layout — see trace/trace_mmap.hh)
+ * whose lifetime is held by a shared backing object. Readers that
+ * touch data()/size() see both identically — a columnar trace
  * materialises an AoS shadow on first such demand (once, shared
  * across copies) — while block consumers (trace_block.hh) read the
- * columns zero-copy. A mutation (append/reserve) on any borrowed
- * form first materialises a private owned copy.
+ * columns zero-copy. A mutation (append/reserve) on a columnar trace
+ * first materialises a private owned copy.
  */
 class Trace
 {
@@ -120,7 +119,7 @@ class Trace
     {
         if (_columnar)
             return columnarAos();
-        return _backing ? _view : _owned.data();
+        return _owned.data();
     }
 
     std::size_t
@@ -128,7 +127,7 @@ class Trace
     {
         if (_columnar)
             return _columnar->count;
-        return _backing ? _viewSize : _owned.size();
+        return _owned.size();
     }
 
     bool empty() const { return size() == 0; }
@@ -148,28 +147,10 @@ class Trace
     const BranchRecord *end() const { return data() + size(); }
 
     /**
-     * Build a trace over a borrowed record array; @p backing keeps
-     * the storage (e.g. an mmap'ed file) alive for as long as any
-     * copy of the returned trace exists.
-     */
-    static Trace
-    fromView(std::string name, std::uint64_t seed,
-             std::shared_ptr<const void> backing,
-             const BranchRecord *records, std::size_t count)
-    {
-        Trace trace(std::move(name));
-        trace._seed = seed;
-        trace._backing = std::move(backing);
-        trace._view = records;
-        trace._viewSize = count;
-        return trace;
-    }
-
-    /**
-     * Build a trace over borrowed SoA columns (the v3 `.ibpm`
-     * layout): parallel @p pc / @p target arrays and a packed meta
-     * byte per record (packBranchMeta). @p backing keeps the columns
-     * alive as long as any copy of the returned trace exists.
+     * Build a trace over borrowed SoA columns (the `.ibpm` layout):
+     * parallel @p pc / @p target arrays and a packed meta byte per
+     * record (packBranchMeta). @p backing keeps the columns alive as
+     * long as any copy of the returned trace exists.
      */
     static Trace
     fromColumnarView(std::string name, std::uint64_t seed,
@@ -212,29 +193,22 @@ class Trace
 
     /**
      * Trace identity: name, seed and records. Transport metadata
-     * (read path, site-count hint, owned-vs-view storage) is
+     * (read path, site-count hint, owned-vs-columnar storage) is
      * excluded, so a cache round trip compares equal to the
      * generated original.
      */
     bool operator==(const Trace &other) const;
 
   private:
-    /** Copy a borrowed view into owned storage before mutating. */
+    /** Copy borrowed columns into owned storage before mutating. */
     void
     materialise()
     {
-        if (_columnar) {
-            const BranchRecord *aos = columnarAos();
-            _owned.assign(aos, aos + _columnar->count);
-            _columnar.reset();
+        if (!_columnar)
             return;
-        }
-        if (!_backing)
-            return;
-        _owned.assign(_view, _view + _viewSize);
-        _backing.reset();
-        _view = nullptr;
-        _viewSize = 0;
+        const BranchRecord *aos = columnarAos();
+        _owned.assign(aos, aos + _columnar->count);
+        _columnar.reset();
     }
 
     /** Transpose the columns into the shared AoS shadow (once). */
@@ -245,9 +219,6 @@ class Trace
     std::uint32_t _siteCountHint = 0;
     TraceReadPath _readPath = TraceReadPath::Generated;
     std::vector<BranchRecord> _owned;
-    std::shared_ptr<const void> _backing;
-    const BranchRecord *_view = nullptr;
-    std::size_t _viewSize = 0;
     std::shared_ptr<ColumnarStorage> _columnar;
 };
 

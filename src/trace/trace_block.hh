@@ -9,7 +9,7 @@
  *
  *  - columnar traces (the v3 `.ibpm` mmap layout) are sliced
  *    zero-copy — each block is three pointers into the file;
- *  - record traces (owned vectors, v2 views, stream parses) are
+ *  - record traces (owned vectors, generated or stream-parsed) are
  *    transposed block-by-block into a reused scratch buffer, so the
  *    transpose cost stays inside the cache-resident window instead
  *    of materialising a second full-trace copy.

@@ -1,41 +1,22 @@
 /**
  * @file
- * Zero-copy mmap trace formats (`.ibpm`, cache formats v2 and v3).
+ * Zero-copy mmap trace format (`.ibpm`, cache format v3).
  *
  * The legacy `.ibpt` stream format deserialises every record through
  * an istream, so a warm trace-cache hit still pays a full parse plus
- * a vector copy per benchmark. The mmap formats instead lay the
+ * a vector copy per benchmark. The mmap format instead lays the
  * records out on disk in directly consumable shape, so a reader can
  * mmap the file read-only and hand the simulator a borrowed view of
  * the page cache - no parse, no copy, and the bytes are shared
  * between concurrent worker processes by the kernel.
  *
- * v2 stores one 12-byte BranchRecord per branch (the in-memory
- * layout, explicitly zeroed padding), 16-byte aligned behind a
- * 64-byte header. v3 - what the writer produces today - stores the
- * same branches as three separate 64-byte-aligned columns (pc,
- * target, packed meta byte; see packBranchMeta), which is the shape
- * the SIMD block engine (trace/trace_block.hh) consumes zero-copy.
- * The reader sniffs the magic and accepts both, so a warm v2 cache
- * keeps serving across the format change. Setting IBP_TRACE_FORMAT=v2
- * in the environment pins the writer back to v2.
- *
- * v2 layout (all integers little-endian):
- *
- *   offset  size  field
- *        0     8  magic "IBPMAP2\0"
- *        8     4  version (2)
- *       12     4  endian tag (0x01020304 as stored)
- *       16     4  record size in bytes (sizeof(BranchRecord) == 12)
- *       20     4  header size in bytes (64)
- *       24     8  generator seed
- *       32     8  record count
- *       40     4  benchmark-name byte count
- *       44     4  site-count hint
- *       48     8  records offset (align16(64 + nameBytes))
- *       56     8  FNV-1a checksum of the first 56 header bytes
- *       64     -  name bytes, zero padding to the records offset,
- *                 then the record array
+ * A file stores the branches as three separate 64-byte-aligned
+ * columns (pc, target, packed meta byte; see packBranchMeta), which
+ * is the shape the SIMD block engine (trace/trace_block.hh) consumes
+ * zero-copy. v3 is the only layout written or read: an entry with
+ * any other magic, including the retired v2 record-array layout, is
+ * rejected as "bad magic", which the trace cache treats as a miss -
+ * it regenerates the trace and rewrites the entry as v3.
  *
  * v3 layout (all integers little-endian):
  *
@@ -76,23 +57,21 @@ namespace ibp {
 
 /**
  * True when this platform can produce and consume `.ibpm` files:
- * little-endian, 12-byte BranchRecord layout, POSIX mmap. On other
- * platforms the cache transparently sticks to the stream format.
+ * little-endian, POSIX mmap. On other platforms the cache
+ * transparently sticks to the stream format.
  */
 bool traceMmapSupported();
 
 /**
- * Serialise @p trace to the v3 columnar byte layout (or v2 when
- * IBP_TRACE_FORMAT=v2 is set). Deterministic: the same trace always
- * encodes to the same bytes (padding is zeroed). Fails (permanent)
- * when the platform is unsupported.
+ * Serialise @p trace to the v3 columnar byte layout. Deterministic:
+ * the same trace always encodes to the same bytes (padding is
+ * zeroed). Fails (permanent) when the platform is unsupported.
  */
 Result<std::string> encodeTraceMmap(const Trace &trace);
 
 /**
- * Map @p path read-only and wrap its records in a Trace view
- * (readPath() == TraceReadPath::Mmap): a columnar view for v3
- * files, a record-array view for v2. The mapping stays alive for
+ * Map @p path read-only and wrap its columns in a Trace view
+ * (readPath() == TraceReadPath::Mmap). The mapping stays alive for
  * as long as any copy of the returned Trace does. Any validation
  * failure is a permanent RunError.
  */

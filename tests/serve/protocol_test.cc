@@ -134,7 +134,6 @@ TEST(ServeProtocolTest, RunRequestRoundTrips)
     EXPECT_EQ(back.rejects, 3u);
     EXPECT_EQ(back.eventScale, request.eventScale);
     EXPECT_EQ(back.threads, request.threads);
-    EXPECT_EQ(back.tableImpl, request.tableImpl);
     EXPECT_EQ(back.gitSha, request.gitSha);
 }
 

@@ -29,7 +29,6 @@ baseRequest()
     request.rejects = 0;
     request.eventScale = 0.05;
     request.threads = 4;
-    request.tableImpl = "flat";
     request.gitSha = "abc1234";
     request.faultSpec = "";
     return request;
@@ -52,15 +51,11 @@ TEST(RequestKeyTest, EveryArtifactKnobSplitsTheSignature)
     mutated.quick = false;
     EXPECT_NE(mutated.signature(), base);
 
-    // The two knobs of the original coalescing bug: event scale and
-    // table implementation shape every counter in the artifact, so
-    // requests differing only here must NEVER share a result.
+    // The knob of the original coalescing bug: event scale shapes
+    // every counter in the artifact, so requests differing only here
+    // must NEVER share a result.
     mutated = baseRequest();
     mutated.eventScale = 1.0;
-    EXPECT_NE(mutated.signature(), base);
-
-    mutated = baseRequest();
-    mutated.tableImpl = "reference";
     EXPECT_NE(mutated.signature(), base);
 
     mutated = baseRequest();
@@ -116,12 +111,6 @@ TEST(RequestKeyTest, CompatibilityChecksEveryKnob)
     client = baseRequest();
     client.threads = 8;
     EXPECT_NE(client.incompatibilityWith(server).find("thread"),
-              std::string::npos);
-
-    client = baseRequest();
-    client.tableImpl = "reference";
-    EXPECT_NE(client.incompatibilityWith(server).find(
-                  "table implementation"),
               std::string::npos);
 
     client = baseRequest();

@@ -4,9 +4,8 @@
  * traversal with the batched lane engine must produce bit-identical
  * SimResult counters whether the process dispatches vectorized or
  * forced-scalar (IBP_SIMD=off), and whether the trace is consumed
- * zero-copy from v3 columnar storage or transposed block-by-block
- * from record storage (including a v2-pinned `.ibpm` file, the
- * migration case a warm pre-v3 cache presents).
+ * zero-copy from columnar `.ibpm` storage or transposed
+ * block-by-block from record storage.
  */
 
 #include <gtest/gtest.h>
@@ -57,7 +56,6 @@ class SimdEngineTest : public ::testing::Test
     {
         TraceCache::configureGlobal("");
         unsetenv("IBP_EVENTS");
-        unsetenv("IBP_TRACE_FORMAT");
     }
 };
 
@@ -204,41 +202,6 @@ TEST_F(SimdEngineTest, ColumnarTraceMatchesRecordStorageBitForBit)
     EXPECT_GT(from_columns.genericColumns, 0u);
     EXPECT_EQ(from_columns.laneColumns, from_records.laneColumns);
     EXPECT_EQ(from_columns.laneMachines, from_records.laneMachines);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST_F(SimdEngineTest, V2PinnedTraceServesIdentically)
-{
-    if (!traceMmapSupported())
-        GTEST_SKIP() << "mmap traces unsupported on this platform";
-    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
-    const Trace &trace = runner.trace("idl");
-    const auto columns = engineColumns();
-
-    const std::string dir =
-        testing::TempDir() + "/ibp_simd_v2pin_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const std::string path = dir + "/trace-v2.ibpm";
-
-    // A warm cache written before the columnar format: the v2 writer
-    // pin produces exactly what such a cache holds.
-    setenv("IBP_TRACE_FORMAT", "v2", 1);
-    ASSERT_TRUE(saveTraceMmap(trace, path).ok());
-    unsetenv("IBP_TRACE_FORMAT");
-
-    const auto loaded = loadTraceMmap(path);
-    ASSERT_TRUE(loaded.ok());
-    const Trace &v2 = loaded.value();
-    EXPECT_FALSE(v2.isColumnar());
-    EXPECT_EQ(v2.readPath(), TraceReadPath::Mmap);
-    ASSERT_EQ(v2, trace);
-
-    const std::vector<SimResult> from_v2 = runEngine(columns, v2);
-    const std::vector<SimResult> from_records =
-        runEngine(columns, trace);
-    expectSameResults(columns, from_v2, from_records);
 
     std::filesystem::remove_all(dir);
 }

@@ -13,11 +13,14 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 
 #include "core/factory.hh"
 #include "sim/suite_runner.hh"
+#include "synth/benchmark_suite.hh"
 #include "trace/trace_cache.hh"
+#include "trace/trace_mmap.hh"
 
 namespace ibp {
 namespace {
@@ -232,6 +235,64 @@ TEST_F(SimulateManyTest, EventScaleChangeMissesTheCache)
     EXPECT_EQ(rescaled.traceSourceStats().generated, 1u);
     EXPECT_EQ(rescaled.traceSourceStats().cacheHits, 0u);
     EXPECT_GT(rescaled.trace("idl").size(), cold.trace("idl").size());
+
+    TraceCache::configureGlobal("");
+    std::filesystem::remove_all(dir);
+}
+
+TEST_F(SimulateManyTest, StaleV2TraceEntryRegeneratesAsV3)
+{
+    if (!traceMmapSupported())
+        GTEST_SKIP() << "mmap traces unsupported on this platform";
+    const std::string dir =
+        testing::TempDir() + "/ibp_stale_v2_cache_test";
+    std::filesystem::remove_all(dir);
+    TraceCache::configureGlobal(dir);
+    const auto columns = diverseColumns();
+
+    SuiteRunner cold({"idl"});
+    ASSERT_EQ(cold.traceSourceStats().generated, 1u);
+    RunSession cold_session;
+    const GridResult cold_grid = cold.run(columns, cold_session);
+
+    // Leave the entry as the retired record-array writer would have:
+    // its magic and version say v2.
+    const std::string path = TraceCache::global()->pathFor(
+        benchmarkTraceCacheKey("idl"));
+    const auto readMagic = [&path]() {
+        std::ifstream in(path, std::ios::binary);
+        std::string magic(8, '\0');
+        in.read(magic.data(), 8);
+        return magic;
+    };
+    ASSERT_EQ(readMagic(), std::string("IBPMAP3\0", 8));
+    {
+        std::fstream out(path,
+                         std::ios::binary | std::ios::in | std::ios::out);
+        out.seekp(6);
+        out.put('2');
+        const std::uint32_t v2_version = 2;
+        out.seekp(8);
+        out.write(reinterpret_cast<const char *>(&v2_version), 4);
+    }
+    ASSERT_EQ(readMagic(), std::string("IBPMAP2\0", 8));
+
+    // The stale entry is a miss: the trace is regenerated, the entry
+    // rewritten as v3, and the grid matches the cold run exactly.
+    SuiteRunner stale({"idl"});
+    RunSession stale_session;
+    RunMetrics stale_metrics;
+    stale_session.metrics = &stale_metrics;
+    const GridResult stale_grid = stale.run(columns, stale_session);
+    EXPECT_EQ(stale_metrics.tracesGenerated(), 1u);
+    EXPECT_EQ(stale_metrics.traceCacheHits(), 0u);
+    EXPECT_EQ(readMagic(), std::string("IBPMAP3\0", 8));
+    expectSameGrid(cold, columns, cold_grid, stale_grid);
+
+    // And the rewritten entry serves the next run zero-copy.
+    SuiteRunner warm({"idl"});
+    EXPECT_EQ(warm.traceSourceStats().generated, 0u);
+    EXPECT_EQ(warm.traceSourceStats().mmapHits, 1u);
 
     TraceCache::configureGlobal("");
     std::filesystem::remove_all(dir);

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "core/btb.hh"
+#include "oracle/diverse_columns.hh"
 #include "sim/suite_runner.hh"
 
 namespace ibp {
@@ -138,6 +139,37 @@ TEST_F(SuiteRunnerTest, ThreadsEnvIsHonouredAndClamped)
     else
         unsetenv("IBP_THREADS");
     EXPECT_GE(simulationThreads(), 1u);
+}
+
+TEST_F(SuiteRunnerTest, GridsMatchAcrossThreadCounts)
+{
+    // The parallel path at 8 threads against the serial path at 1 on
+    // the 12-column mix (every table kind, s=2, the selector hybrid):
+    // any divergence in the threading shows up as a counter mismatch.
+    const auto columns = diverseColumns();
+
+    setenv("IBP_THREADS", "8", 1);
+    SuiteRunner parallel({"idl", "perl"});
+    RunSession parallel_session;
+    const GridResult many = parallel.run(columns, parallel_session);
+
+    setenv("IBP_THREADS", "1", 1);
+    SuiteRunner serial({"idl", "perl"});
+    RunSession serial_session;
+    const GridResult one = serial.run(columns, serial_session);
+    unsetenv("IBP_THREADS");
+
+    EXPECT_EQ(many.failures().size(), one.failures().size());
+    for (const auto &column : columns) {
+        for (const auto &name : serial.benchmarks()) {
+            ASSERT_TRUE(many.has(column.label, name));
+            ASSERT_TRUE(one.has(column.label, name));
+            // Bit-identical, not approximately equal.
+            EXPECT_EQ(many.get(column.label, name),
+                      one.get(column.label, name))
+                << column.label << " x " << name;
+        }
+    }
 }
 
 TEST_F(SuiteRunnerTest, RunCollectsMetrics)

@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests of the zero-copy mmap trace formats (`.ibpm` v2 and v3):
- * round trips of the columnar v3 writer and the v2-pinned writer,
- * deterministic encoding, v2→v3 migration (a warm v2 cache keeps
- * serving), and — most importantly — that every class of damaged
- * input (truncation, bad magic, version skew, misaligned arrays,
- * record-size mismatch, torn headers) in either format is rejected
- * as a clean error rather than read out of bounds. The sanitizer CI
+ * Tests of the zero-copy mmap trace format (`.ibpm` v3): round
+ * trips of the columnar writer, deterministic encoding, rejection of
+ * the retired v2 layout, and — most importantly — that every class
+ * of damaged input (truncation, bad magic, version skew, misaligned
+ * columns, address-size mismatch, torn headers) is rejected as a
+ * clean error rather than read out of bounds. The sanitizer CI
  * jobs run these same cases under ASan+UBSan.
  */
 
@@ -41,7 +40,6 @@ class TraceMmapTest : public ::testing::Test
     void
     TearDown() override
     {
-        unsetenv("IBP_TRACE_FORMAT");
         std::filesystem::remove_all(_dir);
     }
 
@@ -78,21 +76,9 @@ writeFile(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Recompute a v2 header checksum (fnv1a64 over the first 56 bytes)
+/** Recompute a v3 header checksum (fnv1a64 over the first 80 bytes)
  *  after a deliberate header patch, so validation failures exercise
  *  the intended field check rather than the checksum. */
-void
-fixupChecksumV2(std::string &bytes)
-{
-    ASSERT_GE(bytes.size(), 64u);
-    std::uint64_t words[7];
-    std::memcpy(words, bytes.data(), 56);
-    const std::uint64_t sum =
-        fnv1a64(words, 7, 0xcbf29ce484222325ULL);
-    std::memcpy(bytes.data() + 56, &sum, 8);
-}
-
-/** Same for a v3 header (fnv1a64 over the first 80 bytes). */
 void
 fixupChecksumV3(std::string &bytes)
 {
@@ -129,42 +115,24 @@ TEST_F(TraceMmapTest, RoundTripPreservesEverything)
     EXPECT_EQ(trace[3].kind, BranchKind::Return);
 }
 
-TEST_F(TraceMmapTest, V2PinnedWriterRoundTrips)
+TEST_F(TraceMmapTest, RetiredV2MagicFails)
 {
     if (!traceMmapSupported())
         GTEST_SKIP() << "mmap traces unsupported on this platform";
-    const Trace original = sampleTrace();
-    setenv("IBP_TRACE_FORMAT", "v2", 1);
-    ASSERT_TRUE(saveTraceMmap(original, _path).ok());
-    unsetenv("IBP_TRACE_FORMAT");
-
-    const std::string bytes = readFile(_path);
-    ASSERT_GE(bytes.size(), 8u);
-    EXPECT_EQ(bytes.substr(0, 7), "IBPMAP2");
-
+    // An entry left behind by the retired record-array writer: the
+    // reader no longer knows the layout, so it must reject it as bad
+    // magic (which the trace cache treats as a miss).
+    ASSERT_TRUE(saveTraceMmap(sampleTrace(), _path).ok());
+    std::string bytes = readFile(_path);
+    bytes[6] = '2';
+    const std::uint32_t v2_version = 2;
+    std::memcpy(bytes.data() + 8, &v2_version, 4);
+    fixupChecksumV3(bytes);
+    writeFile(_path, bytes);
     const auto loaded = loadTraceMmap(_path);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded.value(), original);
-    EXPECT_FALSE(loaded.value().isColumnar());
-    EXPECT_EQ(loaded.value().readPath(), TraceReadPath::Mmap);
-}
-
-TEST_F(TraceMmapTest, WarmV2CacheServesAcrossFormatChange)
-{
-    if (!traceMmapSupported())
-        GTEST_SKIP() << "mmap traces unsupported on this platform";
-    // A cache populated before the columnar format must keep serving
-    // after the upgrade: same trace, still through the mmap reader.
-    const TraceCache cache(_dir);
-    const Trace original = sampleTrace();
-    setenv("IBP_TRACE_FORMAT", "v2", 1);
-    ASSERT_TRUE(cache.store("k", original).ok());
-    unsetenv("IBP_TRACE_FORMAT");
-
-    const auto served = cache.load("k");
-    ASSERT_TRUE(served.ok());
-    EXPECT_EQ(served.value(), original);
-    EXPECT_EQ(served.value().readPath(), TraceReadPath::Mmap);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error().message.find("bad magic"),
+              std::string::npos);
 }
 
 TEST_F(TraceMmapTest, EmptyTraceRoundTrips)
@@ -247,34 +215,16 @@ TEST_F(TraceMmapTest, VersionSkewFails)
     EXPECT_FALSE(loadTraceMmap(_path).ok());
 }
 
-TEST_F(TraceMmapTest, MisalignedRecordsOffsetFails)
+TEST_F(TraceMmapTest, AddressSizeMismatchFails)
 {
     if (!traceMmapSupported())
         GTEST_SKIP() << "mmap traces unsupported on this platform";
-    // v2 field semantics: byte 48 is the record-array offset.
-    setenv("IBP_TRACE_FORMAT", "v2", 1);
+    // Byte 16 is the per-address byte size of the pc/target columns.
     ASSERT_TRUE(saveTraceMmap(sampleTrace(), _path).ok());
     std::string bytes = readFile(_path);
-    std::uint64_t records_offset = 0;
-    std::memcpy(&records_offset, bytes.data() + 48, 8);
-    records_offset += 4; // no longer 16-byte aligned
-    std::memcpy(bytes.data() + 48, &records_offset, 8);
-    fixupChecksumV2(bytes);
-    writeFile(_path, bytes);
-    EXPECT_FALSE(loadTraceMmap(_path).ok());
-}
-
-TEST_F(TraceMmapTest, RecordSizeMismatchFails)
-{
-    if (!traceMmapSupported())
-        GTEST_SKIP() << "mmap traces unsupported on this platform";
-    // v2 field semantics: byte 16 is the per-record byte size.
-    setenv("IBP_TRACE_FORMAT", "v2", 1);
-    ASSERT_TRUE(saveTraceMmap(sampleTrace(), _path).ok());
-    std::string bytes = readFile(_path);
-    const std::uint32_t wrong_record_bytes = 16;
-    std::memcpy(bytes.data() + 16, &wrong_record_bytes, 4);
-    fixupChecksumV2(bytes);
+    const std::uint32_t wrong_addr_bytes = 8;
+    std::memcpy(bytes.data() + 16, &wrong_addr_bytes, 4);
+    fixupChecksumV3(bytes);
     writeFile(_path, bytes);
     EXPECT_FALSE(loadTraceMmap(_path).ok());
 }
