@@ -1,8 +1,8 @@
 /**
  * @file
  * The BENCH_micro experiment: whole-cell simulate() throughput of a
- * Figure-18-style predictor mix, plus the three-engine (per-column /
- * single-pass / fused) comparison on the Figure-17 row sweep. Lives
+ * Figure-18-style predictor mix, plus the per-column vs fused
+ * comparison on the Figure-17 row sweep. Lives
  * in the suites library - separate from the google-benchmark loops
  * in micro_throughput.cc - so the ibpd daemon can serve it like any
  * paper experiment.
@@ -23,7 +23,6 @@
 
 #include "core/btb.hh"
 #include "core/factory.hh"
-#include "core/sweep_kernel.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "sim/simulator.hh"
@@ -186,16 +185,14 @@ microThroughputExperiment()
             context.emit(table);
 
             // ---------------------------------------------------
-            // The fig17 hybrid-grid mix, three engines: per-column
-            // (13 solo trace traversals), single-pass (one
-            // traversal, every predictor keeping private history -
-            // the engine sweeps used before the fused kernel), and
-            // fused (one traversal through a SweepKernel: shared
-            // histories, deduplicated key builds, replicated p1
-            // components). Counters are bit-identical across all
-            // three (tests/sim/fused_kernel_test.cc); only the time
-            // differs, and fused-over-single-pass is the speedup
-            // SuiteRunner's phase-1 engine banks on real sweeps.
+            // The fig17 hybrid-grid mix, two ways: per-column (13
+            // one-column traversals) and fused (one traversal whose
+            // sweep kernel shares the histories, deduplicates key
+            // builds and replicates the p1 components). Counters
+            // are bit-identical either way
+            // (tests/oracle/engine_oracle_test.cc); only the time
+            // differs, and fused-over-per-column is what sharing a
+            // traversal banks on real sweeps.
             const auto row = fig17Row();
             double solo_seconds = 0.0;
             std::uint64_t row_branches = 0;
@@ -204,40 +201,30 @@ microThroughputExperiment()
                 solo_seconds += solo.seconds;
                 row_branches += solo.branches;
             }
-            double single_pass_seconds = 0.0;
             double fused_seconds = 0.0;
             unsigned deduped = 0;
             for (unsigned rep = 0; rep < reps; ++rep) {
-                for (const bool fuse : {false, true}) {
-                    std::vector<std::unique_ptr<IndirectPredictor>>
-                        predictors;
-                    std::vector<IndirectPredictor *> raw;
-                    for (const MixCell &cell : row) {
-                        predictors.push_back(cell.make());
-                        raw.push_back(predictors.back().get());
-                    }
-                    SweepKernel kernel;
-                    SimOptions options;
-                    if (fuse) {
-                        for (IndirectPredictor *predictor : raw)
-                            kernel.tryJoin(*predictor);
-                        kernel.finalize();
-                        deduped = kernel.dedupedPredictors();
-                        options.kernel = &kernel;
-                    }
-                    const std::vector<SimResult> results =
-                        simulateMany(raw, benchTrace(), options);
-                    const double seconds =
-                        results.front().groupSeconds;
-                    double &best =
-                        fuse ? fused_seconds : single_pass_seconds;
-                    if (rep == 0 || seconds < best)
-                        best = seconds;
+                std::vector<std::unique_ptr<IndirectPredictor>>
+                    predictors;
+                std::vector<IndirectPredictor *> raw;
+                for (const MixCell &cell : row) {
+                    predictors.push_back(cell.make());
+                    raw.push_back(predictors.back().get());
                 }
+                TraversalStats traversal;
+                SimOptions options;
+                options.traversal = &traversal;
+                const double seconds =
+                    simulateMany(raw, benchTrace(), options)
+                        .front()
+                        .groupSeconds;
+                deduped = traversal.predictorsDeduped;
+                if (rep == 0 || seconds < fused_seconds)
+                    fused_seconds = seconds;
             }
             ResultTable fig17_table(
                 "Figure-17 row sweep (p1=3, 13 columns) on "
-                "porky-100k: per-column vs single-pass vs fused",
+                "porky-100k: per-column vs fused",
                 "engine");
             fig17_table.addColumn("seconds");
             fig17_table.addColumn("Mbranches/s");
@@ -246,38 +233,23 @@ microThroughputExperiment()
                 return static_cast<double>(row_branches) /
                        std::max(seconds, 1e-12) / 1e6;
             };
+            const double speedup =
+                solo_seconds / std::max(fused_seconds, 1e-12);
             fig17_table.set("per-column", "seconds", solo_seconds);
             fig17_table.set("per-column", "Mbranches/s",
                             rate(solo_seconds));
-            fig17_table.set("per-column", "speedup",
-                            single_pass_seconds /
-                                std::max(solo_seconds, 1e-12));
-            fig17_table.set("single-pass", "seconds",
-                            single_pass_seconds);
-            fig17_table.set("single-pass", "Mbranches/s",
-                            rate(single_pass_seconds));
-            fig17_table.set("single-pass", "speedup", 1.0);
+            fig17_table.set("per-column", "speedup", 1.0);
             fig17_table.set("fused", "seconds", fused_seconds);
             fig17_table.set("fused", "Mbranches/s",
                             rate(fused_seconds));
-            fig17_table.set("fused", "speedup",
-                            single_pass_seconds /
-                                std::max(fused_seconds, 1e-12));
+            fig17_table.set("fused", "speedup", speedup);
             context.emit(fig17_table);
             context.note(
-                "Fused sweep-kernel speedup on the fig17 row mix: " +
-                formatFixed(single_pass_seconds /
-                                std::max(fused_seconds, 1e-12),
-                            2) +
-                "x aggregate throughput vs the single-pass engine "
+                "Fused fig17 row: " + formatFixed(speedup, 2) +
+                "x aggregate throughput vs 13 per-column traversals "
                 "(shared first-level histories, deduplicated key "
                 "builds, " +
-                std::to_string(deduped) +
-                " replicated columns), " +
-                formatFixed(solo_seconds /
-                                std::max(fused_seconds, 1e-12),
-                            2) +
-                "x vs 13 per-column traversals.");
+                std::to_string(deduped) + " replicated columns).");
 
             // ---------------------------------------------------
             // The grid sharder's cell-claim layer (docs/SERVICE.md):

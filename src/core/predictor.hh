@@ -10,10 +10,15 @@
  *                         (subject to the 2-bit-counter hysteresis
  *                         rule), confidence counters and history.
  *
- * Conditional branches are offered via observeConditional() so that
- * the Target Cache baseline and the section 3.3 "conditional targets
- * in the history" variant can consume them; most predictors ignore
- * them.
+ * Conditional branches are offered via observeConditional() to the
+ * predictors that declare consumesConditionals() - the Target Cache
+ * baseline and the section 3.3 "conditional targets in the history"
+ * variant; the rest never see them.
+ *
+ * A run may bind a predictor to a sweep kernel for its duration
+ * (joinSweepKernel); its first-level history then lives in the
+ * kernel and is gone when the run ends. reset() before reusing a
+ * predictor in another run.
  */
 
 #ifndef IBP_CORE_PREDICTOR_HH
@@ -72,11 +77,17 @@ class IndirectPredictor
     /**
      * True when observeConditional() has any observable effect right
      * now (Target Cache; the section 3.3 conditional-history variant
-     * while it still owns its history). The block engine skips
-     * conditional records wholesale when no predictor in the
-     * traversal consumes them and no shared history group folds them
-     * in, so the answer must reflect the *current* binding state -
-     * query after joinSweepKernel() offers are done.
+     * while it still owns its history).
+     *
+     * Contract: the engine (simulateMany(), sim/simulator.hh)
+     * forwards conditional records ONLY to predictors that declare
+     * this, querying it once per traversal after the sweep-kernel
+     * offer - a predictor that overrides observeConditional() but
+     * answers false never sees a conditional. The block engine
+     * also skips conditional records wholesale when no predictor in
+     * the traversal consumes them and no shared history group folds
+     * them in, so the answer must reflect the *current* binding
+     * state.
      */
     virtual bool consumesConditionals() const { return false; }
 

@@ -50,6 +50,12 @@ SweepHistoryGroup::compressedFor(Addr pc)
     return _compressed.data();
 }
 
+SweepKernel::~SweepKernel()
+{
+    for (TwoLevelPredictor *member : _members)
+        member->leaveSweepKernel();
+}
+
 bool
 SweepKernel::tryJoin(IndirectPredictor &predictor)
 {
@@ -92,6 +98,7 @@ TwoLevelPredictor *
 SweepKernel::dedupe(TwoLevelPredictor &predictor)
 {
     IBP_ASSERT(!_finalized, "dedupe after finalize");
+    _members.push_back(&predictor);
     for (TwoLevelPredictor *primary : _primaries) {
         if (primary->config() == predictor.config()) {
             ++_deduped;

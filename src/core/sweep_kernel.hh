@@ -47,13 +47,15 @@
  * that invalidates the memos. Because a solo predictor builds its
  * key from the *pre-push* history (predict() caches it, update()
  * reuses it before pushing), committing once after the loop is
- * observationally identical - the differential test in tests/sim
- * pins every SimResult counter bit-for-bit.
+ * observationally identical - the whole-predictor oracle
+ * (tests/oracle/engine_oracle_test.cc) pins every SimResult counter
+ * bit-for-bit against the unbound per-record loop.
  *
  * Lifetime: bind at construction time, finalize() once, then drive.
- * Bound predictors hold pointers into the kernel, so the kernel must
- * outlive every use of its predictors (SuiteRunner scopes both to
- * one fused chunk). Not thread-safe; one kernel per traversal.
+ * Bound predictors hold pointers into the kernel; the destructor
+ * unbinds every one of them, so none outlives it (simulateMany()
+ * scopes one kernel to each call). Not thread-safe; one kernel per
+ * traversal.
  */
 
 #ifndef IBP_CORE_SWEEP_KERNEL_HH
@@ -236,6 +238,8 @@ class SweepKernel
     };
 
     SweepKernel() = default;
+    /** Unbinds every joined two-level predictor (see Lifetime). */
+    ~SweepKernel();
     SweepKernel(const SweepKernel &) = delete;
     SweepKernel &operator=(const SweepKernel &) = delete;
 
@@ -260,7 +264,9 @@ class SweepKernel
      * bind()) as a candidate for whole-predictor sharing. Returns the
      * earlier-registered predictor with an equal TwoLevelConfig - the
      * *primary* this one should mirror - or nullptr when @p predictor
-     * becomes the primary for its configuration. Relies on the
+     * becomes the primary for its configuration. Every bound
+     * two-level predictor registers here, which is how the
+     * destructor knows whom to unbind. Relies on the
      * traversal driving members in join order, so a primary always
      * predicts (and memoizes) before any of its replicas read.
      */
@@ -322,20 +328,11 @@ class SweepKernel
     /** Two-level columns turned into dedup replicas (telemetry). */
     unsigned dedupedPredictors() const { return _deduped; }
 
-    std::size_t groupCount() const { return _groups.size(); }
-
-    std::size_t
-    variantCount() const
-    {
-        std::size_t count = 0;
-        for (const auto &group : _groups)
-            count += group->_variants.size();
-        return count;
-    }
-
   private:
     std::vector<std::unique_ptr<SweepHistoryGroup>> _groups;
     std::vector<TwoLevelPredictor *> _primaries;
+    /** Every two-level predictor bound to this kernel. */
+    std::vector<TwoLevelPredictor *> _members;
     bool _finalized = false;
     unsigned _joined = 0;
     unsigned _declined = 0;

@@ -86,6 +86,17 @@ TwoLevelPredictor::joinSweepKernel(SweepKernel &kernel)
     return true;
 }
 
+void
+TwoLevelPredictor::leaveSweepKernel()
+{
+    _sweepGroup = nullptr;
+    _sweepVariant = nullptr;
+    _sweepPrimary = nullptr;
+    _replicated = false;
+    _predMemoValid = false;
+    invalidateKeyCache();
+}
+
 Prediction
 TwoLevelPredictor::lookup(Addr pc)
 {

@@ -142,6 +142,10 @@ class TwoLevelPredictor final : public IndirectPredictor
     void primeSharedPrediction(Addr pc, const Prediction &pred);
 
   private:
+    /** Drop every binding to a dying kernel (SweepKernel's
+     *  destructor): back to private history, own table, no memo. */
+    void leaveSweepKernel();
+
     void pushHistory(Addr pc, Addr target);
     void invalidateKeyCache() { _cacheValid = false; }
 

@@ -37,47 +37,47 @@ struct CellMetrics
      *  traversal time) when secondsSynthetic is set. */
     double seconds = 0.0;
     /** Wall time of the traversal that produced this cell: equals
-     *  `seconds` for an isolated per-cell run, the undivided group
-     *  time when the cell came out of a fused traversal. */
+     *  `seconds` for a one-predictor traversal, the undivided group
+     *  time when the cell shared its traversal. */
     double groupSeconds = 0.0;
     /** True when `seconds` is a synthetic even split of
-     *  groupSeconds (fused single-pass engine). */
+     *  groupSeconds (more than one predictor shared the traversal). */
     bool secondsSynthetic = false;
     std::uint64_t tableOccupancy = 0;
     std::uint64_t tableCapacity = 0;
 };
 
 /**
- * Telemetry of the fused sweep engine (docs/PERFORMANCE.md): how many
- * benchmark chunks ran fused versus falling back to the per-cell
- * isolated path, and why. Counters are cumulative across run() calls
- * of one session, mirroring the trace-source counters.
+ * Telemetry of the grid chunks (docs/PERFORMANCE.md): how many
+ * benchmark chunks ran as one traversal versus falling back to
+ * isolated one-cell chunks, and why. Counters are cumulative across
+ * run() calls of one session, mirroring the trace-source counters.
  */
 struct SweepKernelStats
 {
-    /** Chunks simulated by the fused single-pass engine. */
+    /** Grid chunks completed as one traversal. */
     unsigned groupsFused = 0;
-    /** Chunks that fell back to the per-cell path (sum of the
+    /** Chunks that fell back to one-cell chunks (sum of the
      *  per-reason counters below). */
     unsigned groupsPerCell = 0;
     /** Predictors that joined a SweepKernel (shared history). */
     unsigned predictorsBound = 0;
-    /** Predictors in fused chunks that declined to join (they still
-     *  rode the shared traversal with private history). */
+    /** Predictors that declined to join (they still rode the
+     *  shared traversal with private history). */
     unsigned predictorsUnbound = 0;
     /** Two-level columns deduplicated into replicas of an
      *  equal-configuration primary (SweepKernel::dedupe()). */
     unsigned predictorsDeduped = 0;
     /** Fallback cause: a predictor factory threw. */
     unsigned fallbackFactory = 0;
-    /** Fallback cause: the watchdog cancelled the fused traversal. */
+    /** Fallback cause: the chunk's traversal passed its deadline. */
     unsigned fallbackCancelled = 0;
     /** Fallback cause: an injected fault at the "fused" site. */
     unsigned fallbackInjected = 0;
-    /** Fallback cause: a sim-armed fault injector disabled the fused
-     *  engine wholesale (per-cell attempt accounting must hold). */
+    /** Fallback cause: a sim-armed fault injector started the chunk
+     *  as single cells (per-cell attempt accounting must hold). */
     unsigned fallbackInjectorArmed = 0;
-    /** Fallback cause: any other error during the fused attempt. */
+    /** Fallback cause: any other error during the chunk's attempt. */
     unsigned fallbackError = 0;
 };
 

@@ -35,7 +35,7 @@ enum class ErrorKind
 {
     Transient, ///< May succeed on retry (resource pressure, injected).
     Permanent, ///< Retrying is pointless (malformed input, bad spec).
-    Timeout,   ///< A watchdog cancelled the attempt; never retried.
+    Timeout,   ///< The attempt passed its deadline; never retried.
 };
 
 /** Printable name of an ErrorKind ("transient", ...). */

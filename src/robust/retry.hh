@@ -40,8 +40,8 @@ struct RetryPolicy
     double maxBackoffSeconds = 1.0;
 
     /**
-     * Per-cell wall-clock deadline enforced by the SuiteRunner
-     * watchdog, in seconds; 0 disables the watchdog.
+     * Per-cell wall-clock deadline, in seconds, enforced by the
+     * engine through SimOptions::deadline; 0 disables it.
      */
     double cellDeadlineSeconds = 0.0;
 

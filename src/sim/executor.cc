@@ -236,10 +236,10 @@ Executor::ensureWorkers(unsigned count)
         return;
     }
 
-    // Grow: publish the structs first (so thieves and the watchdog
-    // can size off publishedWorkers()), then raise the active count,
-    // then start threads. A worker that starts before _active covers
-    // its index would just exit, hence the store-before-spawn order.
+    // Grow: publish the structs first (so thieves can scan them),
+    // then raise the active count, then start threads. A worker that
+    // starts before _active covers its index would just exit, hence
+    // the store-before-spawn order.
     for (unsigned i = old; i < count; ++i) {
         if (!_workers[i]) {
             _workers[i] = std::make_unique<Worker>();
@@ -335,7 +335,10 @@ Executor::~Executor()
 void
 Executor::Batch::spawn(std::function<void()> fn)
 {
-    _pending.fetch_add(1, std::memory_order_acq_rel);
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        ++_pending;
+    }
     // The drain ledger counts a task from submission (here and in
     // spawnDeferred), not from enqueueing: resize migration re-routes
     // tasks through enqueue() without re-submitting them.
@@ -346,7 +349,8 @@ Executor::Batch::spawn(std::function<void()> fn)
 void
 Executor::Batch::defer()
 {
-    _pending.fetch_add(1, std::memory_order_acq_rel);
+    std::lock_guard<std::mutex> lock(_mutex);
+    ++_pending;
 }
 
 void
@@ -365,23 +369,20 @@ Executor::Batch::cancelDeferred()
 void
 Executor::Batch::finish()
 {
-    if (_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Lock before notifying so a waiter that just evaluated the
-        // predicate false cannot miss the wakeup.
-        std::lock_guard<std::mutex> lock(_mutex);
+    // Decrement and notify under the lock: wait() only returns once
+    // it holds the lock and sees zero, which cannot happen until this
+    // worker has released it - its last touch of the batch - so the
+    // owner may destroy the batch the moment wait() returns.
+    std::lock_guard<std::mutex> lock(_mutex);
+    if (--_pending == 0)
         _cv.notify_all();
-    }
 }
 
 void
 Executor::Batch::wait()
 {
-    if (_pending.load(std::memory_order_acquire) == 0)
-        return;
     std::unique_lock<std::mutex> lock(_mutex);
-    _cv.wait(lock, [&] {
-        return _pending.load(std::memory_order_acquire) == 0;
-    });
+    _cv.wait(lock, [&] { return _pending == 0; });
 }
 
 } // namespace ibp

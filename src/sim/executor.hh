@@ -89,7 +89,11 @@ class Executor
         void finish();
 
         Executor &_executor;
-        std::atomic<std::size_t> _pending{0};
+        /** Spawned or deferred tasks not yet finished; guarded by
+         *  _mutex, which finish() holds through its notify so a
+         *  returning wait() never races a worker still inside the
+         *  batch. */
+        std::size_t _pending = 0;
         std::mutex _mutex;
         std::condition_variable _cv;
     };
@@ -111,15 +115,6 @@ class Executor
     unsigned workerCount() const
     {
         return _active.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Worker structs ever published; indexes from
-     * currentWorkerIndex() are always < this. Monotonic.
-     */
-    unsigned publishedWorkers() const
-    {
-        return _published.load(std::memory_order_acquire);
     }
 
     /** Workers parked waiting for work right now (approximate). */

@@ -12,27 +12,19 @@
 #include "trace/trace_block.hh"
 #include "util/logging.hh"
 
-// IBP_PREFETCH (core/simd.hh) pulls upcoming records toward L1 while
-// the predictor works on the current one. The records are a dense
-// read-only array (often a view of an mmap'ed cache file, so the
-// first touch is a page-cache read, not a generator store), which
-// makes a modest lookahead worthwhile.
-
 namespace ibp {
 
 namespace {
 
-constexpr std::size_t kPrefetchDistance = 16;
-
 [[noreturn]] void
-throwCancelled(const Trace &trace)
+throwPastDeadline(const Trace &trace)
 {
     throw RunException(RunError::timeout(
-        "simulation of '" + trace.name() + "' cancelled by watchdog"));
+        "simulation of '" + trace.name() + "' passed its deadline"));
 }
 
 /**
- * The lane engine's execution plan for a fused traversal.
+ * The lane engine's execution plan for one traversal.
  *
  * Columns whose per-record work is a pure function of bound
  * two-level component predictions - plain bound TwoLevelPredictor
@@ -117,12 +109,29 @@ struct LanePlan
     std::vector<Column> columns;               ///< lane columns
     std::vector<IndirectPredictor *> generic;  ///< record-at-a-time
     std::vector<std::size_t> genericResult;
+    /** The generic columns whose consumesConditionals() holds: the
+     *  only ones conditional records are forwarded to. */
+    std::vector<IndirectPredictor *> conditionalSinks;
+
+    /**
+     * A column that declined the kernel: it shares no state with any
+     * other column, so it runs column-major - over a whole block
+     * before the next column - instead of interleaved per record.
+     * Only its own record order matters, and that is unchanged.
+     */
+    struct Independent
+    {
+        IndirectPredictor *predictor;
+        std::size_t result;
+        bool conditionals;  ///< consumesConditionals()
+    };
+    std::vector<Independent> independent;
     std::vector<Prediction> lanePred;          ///< per-machine scratch
 };
 
 LanePlan
 buildLanePlan(std::span<IndirectPredictor *const> predictors,
-              bool fused)
+              const std::vector<bool> &joined)
 {
     LanePlan plan;
     std::unordered_map<const TwoLevelPredictor *, std::uint16_t>
@@ -143,43 +152,43 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
 
     for (std::size_t i = 0; i < predictors.size(); ++i) {
         IndirectPredictor *predictor = predictors[i];
-        if (fused) {
-            if (auto *two =
-                    dynamic_cast<TwoLevelPredictor *>(predictor);
-                two != nullptr && two->sweepBound()) {
-                plan.columns.push_back(
-                    {i, false,
-                     static_cast<std::uint32_t>(
-                         plan.memberPool.size()),
-                     1});
-                plan.memberPool.push_back(machineIndex(*two));
+        if (auto *two = dynamic_cast<TwoLevelPredictor *>(predictor);
+            two != nullptr && two->sweepBound()) {
+            plan.columns.push_back(
+                {i, false,
+                 static_cast<std::uint32_t>(plan.memberPool.size()),
+                 1});
+            plan.memberPool.push_back(machineIndex(*two));
+            continue;
+        }
+        if (auto *hybrid = dynamic_cast<HybridPredictor *>(predictor);
+            hybrid != nullptr &&
+            hybrid->config().meta == MetaKind::Confidence) {
+            bool all_bound = true;
+            for (unsigned c = 0; c < hybrid->numComponents(); ++c)
+                all_bound &= hybrid->component(c).sweepBound();
+            if (all_bound) {
+                const LanePlan::Column column{
+                    i, true,
+                    static_cast<std::uint32_t>(plan.memberPool.size()),
+                    hybrid->numComponents()};
+                for (unsigned c = 0; c < hybrid->numComponents(); ++c) {
+                    plan.memberPool.push_back(
+                        machineIndex(hybrid->component(c)));
+                }
+                plan.columns.push_back(column);
                 continue;
             }
-            if (auto *hybrid =
-                    dynamic_cast<HybridPredictor *>(predictor);
-                hybrid != nullptr &&
-                hybrid->config().meta == MetaKind::Confidence) {
-                bool all_bound = true;
-                for (unsigned c = 0; c < hybrid->numComponents(); ++c)
-                    all_bound &= hybrid->component(c).sweepBound();
-                if (all_bound) {
-                    const LanePlan::Column column{
-                        i, true,
-                        static_cast<std::uint32_t>(
-                            plan.memberPool.size()),
-                        hybrid->numComponents()};
-                    for (unsigned c = 0; c < hybrid->numComponents();
-                         ++c) {
-                        plan.memberPool.push_back(
-                            machineIndex(hybrid->component(c)));
-                    }
-                    plan.columns.push_back(column);
-                    continue;
-                }
-            }
+        }
+        if (!joined[i]) {
+            plan.independent.push_back(
+                {predictor, i, predictor->consumesConditionals()});
+            continue;
         }
         plan.generic.push_back(predictor);
         plan.genericResult.push_back(i);
+        if (predictor->consumesConditionals())
+            plan.conditionalSinks.push_back(predictor);
     }
     plan.lanePred.resize(plan.machines.size());
 
@@ -218,79 +227,10 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
 
 SimResult
 simulate(IndirectPredictor &predictor, const Trace &trace,
-         const SimOptions &options, SiteMissStats *site_stats)
+         const SimOptions &options)
 {
-    SimResult result;
-    result.benchmark = trace.name();
-    result.predictor = predictor.name();
-
-    if (site_stats != nullptr && trace.siteCountHint() != 0)
-        site_stats->sites.reserve(trace.siteCountHint());
-
-    // Two clock reads bracket the whole loop; the per-branch path
-    // stays untouched so telemetry cannot skew throughput.
-    const auto start = std::chrono::steady_clock::now();
-
-    // Hoisted out of the loop so the iteration works on registers:
-    // the cancel token pointer and the record array never change
-    // mid-run, and the compiler cannot prove that through the
-    // by-reference options struct on its own.
-    const CancelToken *const cancel = options.cancel;
-    const BranchRecord *const records = trace.data();
-    const std::size_t count = trace.size();
-
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        // One increment-and-mask per record keeps the cancellation
-        // poll off the hot path's critical work; 1K records is a
-        // few microseconds, so a deadline overrun is caught fast
-        // even on the small traces of quick runs.
-        if (((i + 1) & 0x3ffu) == 0 && cancel && cancel->cancelled())
-            throwCancelled(trace);
-        if (i + kPrefetchDistance < count)
-            IBP_PREFETCH(records + i + kPrefetchDistance);
-
-        const BranchRecord &record = records[i];
-        if (record.kind == BranchKind::Conditional) {
-            predictor.observeConditional(record.pc, record.taken,
-                                         record.target);
-            continue;
-        }
-        if (!record.isPredictedIndirect())
-            continue; // returns are handled by a return-address stack
-
-        ++seen;
-        const Prediction prediction = predictor.predict(record.pc);
-        const bool counted = seen > options.warmupBranches;
-        if (counted) {
-            const bool correct = prediction.correctFor(record.target);
-            ++result.branches;
-            if (!correct) {
-                ++result.misses;
-                if (!prediction.valid)
-                    ++result.noPrediction;
-            }
-            if (site_stats) {
-                bool inserted = false;
-                SiteMissStats::SiteCounts &counts =
-                    site_stats->sites.findOrInsert(record.pc,
-                                                   inserted);
-                ++counts.executions;
-                if (!correct)
-                    ++counts.misses;
-            }
-        }
-        predictor.update(record.pc, record.target);
-    }
-
-    result.tableOccupancy = predictor.tableOccupancy();
-    result.tableCapacity = predictor.tableCapacity();
-    result.seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    result.groupSeconds = result.seconds;
-    return result;
+    IndirectPredictor *const column = &predictor;
+    return std::move(simulateMany({&column, 1}, trace, options).front());
 }
 
 std::vector<SimResult>
@@ -309,8 +249,17 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
 
     const auto start = std::chrono::steady_clock::now();
 
-    const CancelToken *const cancel = options.cancel;
-    SweepKernel *const kernel = options.kernel;
+    // The call's own kernel: every predictor is offered to it, and
+    // its destructor unbinds them again on every exit path, so no
+    // pointer into it outlives the call.
+    SweepKernel kernel;
+    std::vector<bool> joined(predictors.size());
+    for (std::size_t i = 0; i < predictors.size(); ++i)
+        joined[i] = kernel.tryJoin(*predictors[i]);
+    kernel.finalize();
+
+    // No deadline is max(), which the clock never reaches.
+    const auto deadline = options.deadline;
 
     // Partition the columns between the batched lane engine and the
     // generic path (see LanePlan), and decide whether conditional
@@ -318,11 +267,14 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     // targets in through the kernel's groups, so when no generic
     // column consumes them either, the block classifier drops them
     // without ever dispatching a record.
-    LanePlan plan = buildLanePlan(predictors, kernel != nullptr);
+    LanePlan plan = buildLanePlan(predictors, joined);
     bool need_conditionals =
-        kernel != nullptr && kernel->hasConditionalGroups();
-    for (IndirectPredictor *predictor : predictors)
-        need_conditionals |= predictor->consumesConditionals();
+        kernel.hasConditionalGroups() || !plan.conditionalSinks.empty();
+    for (const LanePlan::Independent &column : plan.independent)
+        need_conditionals |= column.conditionals;
+    // Independent columns alone need no per-record pass at all.
+    const bool record_major =
+        !plan.columns.empty() || !plan.generic.empty();
 
     const std::size_t machine_count = plan.machines.size();
     const LanePlan::Machine *const machines = plan.exec.data();
@@ -335,25 +287,30 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     if (options.traversal != nullptr) {
         options.traversal->laneColumns =
             static_cast<std::uint32_t>(plan.columns.size());
-        options.traversal->genericColumns =
-            static_cast<std::uint32_t>(plan.generic.size());
+        options.traversal->genericColumns = static_cast<std::uint32_t>(
+            plan.generic.size() + plan.independent.size());
         options.traversal->laneMachines =
             static_cast<std::uint32_t>(machine_count);
+        options.traversal->predictorsBound = kernel.joinedPredictors();
+        options.traversal->predictorsUnbound =
+            kernel.declinedPredictors();
+        options.traversal->predictorsDeduped =
+            kernel.dedupedPredictors();
     }
 
     // The trace is consumed in cache-resident SoA blocks (zero-copy
     // for columnar traces); the classifier turns each block into the
     // index list of records anyone cares about. Every predictor
-    // still sees exactly the sequence simulate() would have fed it,
-    // so the counters must match it bit for bit.
+    // still sees exactly the sequence the per-record protocol feeds
+    // it, so the counters must match it bit for bit.
     TraceBlockCursor cursor(trace);
     std::vector<std::uint32_t> selected(kTraceBlockRecords);
     std::uint64_t seen = 0;
     std::uint64_t polled = 0;
     TraceBlock block;
     while (cursor.next(block)) {
-        if (cancel && cancel->cancelled())
-            throwCancelled(trace);
+        if (std::chrono::steady_clock::now() >= deadline)
+            throwPastDeadline(trace);
         const std::size_t selected_count = simd::classifyMeta(
             block.meta, block.count, 0, need_conditionals,
             selected.data());
@@ -366,10 +323,15 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                 block.count - selected_count;
         }
 
-        for (std::size_t s = 0; s < selected_count; ++s) {
-            if ((++polled & 0x3ffu) == 0 && cancel &&
-                cancel->cancelled()) {
-                throwCancelled(trace);
+        const std::uint64_t block_seen = seen;
+        for (std::size_t s = 0; record_major && s < selected_count;
+             ++s) {
+            // One increment-and-mask per record keeps the clock read
+            // off the hot path; 1K records is a few microseconds, so
+            // a deadline overrun is caught fast even on small traces.
+            if ((++polled & 0x3ffu) == 0 &&
+                std::chrono::steady_clock::now() >= deadline) {
+                throwPastDeadline(trace);
             }
             const std::uint32_t index = selected[s];
             const Addr pc = block.pc[index];
@@ -379,12 +341,13 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             if (branchMetaKind(meta) == BranchKind::Conditional) {
                 // Lane columns are fully bound - their
                 // observeConditional() chains are no-ops - so only
-                // generic columns need the record itself.
+                // the declared generic consumers need the record.
                 const bool taken = branchMetaTaken(meta);
-                for (IndirectPredictor *predictor : plan.generic)
+                for (IndirectPredictor *predictor :
+                     plan.conditionalSinks) {
                     predictor->observeConditional(pc, taken, target);
-                if (kernel != nullptr)
-                    kernel->observeConditional(pc, taken, target);
+                }
+                kernel.observeConditional(pc, taken, target);
                 continue;
             }
 
@@ -528,16 +491,59 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             // consuming the key they cached pre-push; committing the
             // shared histories once, after every bound predictor
             // trained, reproduces exactly that order.
-            if (kernel != nullptr)
-                kernel->commit(pc, target);
+            kernel.commit(pc, target);
+        }
+
+        // Independent columns, column-major: one predictor's tables
+        // stay cache-hot across the whole block, and its counters
+        // live in registers.
+        for (const LanePlan::Independent &column : plan.independent) {
+            IndirectPredictor &predictor = *column.predictor;
+            std::uint64_t column_seen = block_seen;
+            std::uint64_t branches = 0;
+            std::uint64_t misses = 0;
+            std::uint64_t no_prediction = 0;
+            for (std::size_t s = 0; s < selected_count; ++s) {
+                if ((s & 0x3ffu) == 0x3ffu &&
+                    std::chrono::steady_clock::now() >= deadline) {
+                    throwPastDeadline(trace);
+                }
+                const std::uint32_t index = selected[s];
+                const Addr pc = block.pc[index];
+                const Addr target = block.target[index];
+                const std::uint8_t meta = block.meta[index];
+                if (branchMetaKind(meta) == BranchKind::Conditional) {
+                    if (column.conditionals) {
+                        predictor.observeConditional(
+                            pc, branchMetaTaken(meta), target);
+                    }
+                    continue;
+                }
+                const Prediction prediction = predictor.predict(pc);
+                if (++column_seen > options.warmupBranches) {
+                    ++branches;
+                    if (!prediction.correctFor(target)) {
+                        ++misses;
+                        if (!prediction.valid)
+                            ++no_prediction;
+                    }
+                }
+                predictor.update(pc, target);
+            }
+            SimResult &result = results[column.result];
+            result.branches += branches;
+            result.misses += misses;
+            result.noPrediction += no_prediction;
+            seen = column_seen;
         }
     }
 
     // One traversal produced all results, so the wall time is shared
     // state: record the real group time and split it evenly so
-    // aggregate cell-seconds telemetry stays comparable with the
-    // per-cell path (the quotient is synthetic - consumers branch on
-    // sharedTraversal). predictors is non-empty here (guarded above).
+    // aggregate cell-seconds telemetry stays comparable across chunk
+    // sizes (the quotient is synthetic when more than one predictor
+    // shared it - consumers branch on sharedTraversal). predictors
+    // is non-empty here (guarded above).
     const double group_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -549,7 +555,7 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
         results[i].tableCapacity = predictors[i]->tableCapacity();
         results[i].seconds = seconds;
         results[i].groupSeconds = group_seconds;
-        results[i].sharedTraversal = true;
+        results[i].sharedTraversal = predictors.size() > 1;
     }
     return results;
 }

@@ -13,19 +13,16 @@
 #ifndef IBP_SIM_SIMULATOR_HH
 #define IBP_SIM_SIMULATOR_HH
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/flat_table.hh"
 #include "core/predictor.hh"
 #include "trace/trace.hh"
 
 namespace ibp {
-
-class SweepKernel;
 
 /** Outcome of one predictor/trace run. */
 struct SimResult
@@ -38,15 +35,14 @@ struct SimResult
     std::uint64_t noPrediction = 0;
     std::uint64_t tableOccupancy = 0;
     std::uint64_t tableCapacity = 0;
-    /** Wall time of the simulation loop, in seconds. For a shared
-     *  traversal (simulateMany) this is the group wall time divided
-     *  evenly - synthetic, only the aggregate is physical. */
+    /** Wall time of the simulation, in seconds: the traversal wall
+     *  time divided evenly across its predictors - synthetic when
+     *  more than one shared it, only the aggregate is physical. */
     double seconds = 0.0;
     /** Wall time of the whole traversal that produced this result;
-     *  equals `seconds` for a solo simulate(), the undivided group
-     *  time for a shared traversal. */
+     *  equals `seconds` for a one-predictor traversal. */
     double groupSeconds = 0.0;
-    /** True when this result came out of a shared traversal, i.e.
+    /** True when more than one predictor shared the traversal, i.e.
      *  `seconds` is synthetic (see groupSeconds). */
     bool sharedTraversal = false;
 
@@ -71,45 +67,12 @@ struct SimResult
 };
 
 /**
- * Epoch-tagged cooperative cancellation token.
- *
- * A watchdog cancelling "whatever the worker is doing" with a plain
- * bool is racy: after attempt N's deadline expires, the watchdog can
- * store the flag *after* the worker has already cleared it and
- * started attempt N+1, spuriously cancelling a healthy attempt. The
- * token closes that race by naming the victim: the owner thread
- * bumps `armed` to a fresh epoch before each attempt, the watchdog
- * requests cancellation *of the epoch it observed*, and the poll
- * only fires when the requested epoch matches the attempt currently
- * running. A stale request aimed at a finished attempt matches
- * nothing and is ignored.
- */
-struct CancelToken
-{
-    /** Epoch the watchdog wants cancelled (atomic store); 0 = none. */
-    std::atomic<std::uint64_t> requested{0};
-
-    /**
-     * Epoch of the attempt currently running. Written by the owner
-     * thread before each attempt and read only on that thread, so it
-     * needs no atomicity; 0 means no attempt is armed.
-     */
-    std::uint64_t armed = 0;
-
-    bool
-    cancelled() const
-    {
-        return armed != 0 &&
-               requested.load(std::memory_order_relaxed) == armed;
-    }
-};
-
-/**
  * Telemetry of one simulateMany() block traversal (see
  * SimOptions::traversal): how the records were fed (zero-copy
- * columnar blocks vs per-block transposes) and how the predictor
- * columns were partitioned between the batched lane engine and the
- * generic record-at-a-time path.
+ * columnar blocks vs per-block transposes), how the call's sweep
+ * kernel bound the predictors, and how the predictor columns were
+ * partitioned between the batched lane engine and the generic
+ * record-at-a-time path.
  */
 struct TraversalStats
 {
@@ -128,6 +91,29 @@ struct TraversalStats
     /** Distinct state machines (dedup owners) the lane engine
      *  probes and trains once per record. */
     std::uint32_t laneMachines = 0;
+    /** Predictors that joined the call's sweep kernel. */
+    std::uint32_t predictorsBound = 0;
+    /** Predictors that declined it and keep private history. */
+    std::uint32_t predictorsUnbound = 0;
+    /** Two-level columns deduplicated into replicas of an
+     *  equal-configuration primary (SweepKernel::dedupe()). */
+    std::uint32_t predictorsDeduped = 0;
+
+    /** Accumulate another traversal's counters (run telemetry). */
+    TraversalStats &
+    operator+=(const TraversalStats &other)
+    {
+        columnarBlocks += other.columnarBlocks;
+        transposedBlocks += other.transposedBlocks;
+        skippedRecords += other.skippedRecords;
+        laneColumns += other.laneColumns;
+        genericColumns += other.genericColumns;
+        laneMachines += other.laneMachines;
+        predictorsBound += other.predictorsBound;
+        predictorsUnbound += other.predictorsUnbound;
+        predictorsDeduped += other.predictorsDeduped;
+        return *this;
+    }
 };
 
 /** Extra knobs for a simulation run. */
@@ -137,95 +123,57 @@ struct SimOptions
      *  excluded from the counts, still used for training). */
     std::uint64_t warmupBranches = 0;
 
-    /** Collect per-site miss counts (costs a hash update per branch). */
-    bool perSiteMisses = false;
-
     /**
-     * Cooperative cancellation token, polled every few thousand
-     * records (the poll is a relaxed atomic load, invisible next to
-     * the predictor work). When the token reports cancelled - the
-     * SuiteRunner watchdog requests this on a per-cell deadline -
-     * simulate() throws RunException with a timeout RunError.
-     * nullptr disables.
+     * Steady-clock deadline of this attempt; max() (the default)
+     * disables it. simulateMany() compares the clock against it
+     * once per trace block and every 1024 selected records, and
+     * past it throws RunException with a timeout RunError. The
+     * SuiteRunner sets it from the per-cell deadline; each attempt
+     * owns its value, so no request can outlive the attempt it
+     * was meant for.
      */
-    const CancelToken *cancel = nullptr;
-
-    /**
-     * Fused sweep kernel driving the shared first-level history of
-     * the predictors in this run (simulateMany only). When set, the
-     * traversal calls kernel->observeConditional() after offering a
-     * conditional to the predictors and kernel->commit() after the
-     * per-predictor update loop of each indirect branch; predictors
-     * bound to the kernel suppress their own history pushes. The
-     * caller owns kernel lifetime and must have bound the predictors
-     * (SweepKernel::tryJoin) and called finalize(). nullptr disables.
-     */
-    SweepKernel *kernel = nullptr;
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
 
     /** Optional out-parameter: simulateMany() fills it with block
-     *  traversal telemetry (metrics.simd). nullptr disables. */
+     *  traversal telemetry (metrics.simd, metrics.sweep_kernel).
+     *  nullptr disables. */
     TraversalStats *traversal = nullptr;
 };
 
 /**
- * Per-site miss accounting (populated when requested). Both counters
- * for a site live in one FlatMap slot, so the hot loop pays a single
- * hash probe per branch instead of two ordered-map walks; simulate()
- * pre-sizes the map from Trace::siteCountHint() so collection never
- * rehashes mid-run.
+ * Run @p predictor over @p trace: a one-column simulateMany() call,
+ * with the same engine, counters and contracts.
  */
-struct SiteMissStats
-{
-    struct SiteCounts
-    {
-        std::uint64_t executions = 0;
-        std::uint64_t misses = 0;
-    };
-
-    FlatMap<Addr, SiteCounts> sites;
-
-    std::uint64_t
-    executions(Addr pc) const
-    {
-        const SiteCounts *counts = sites.find(pc);
-        return counts == nullptr ? 0 : counts->executions;
-    }
-
-    std::uint64_t
-    misses(Addr pc) const
-    {
-        const SiteCounts *counts = sites.find(pc);
-        return counts == nullptr ? 0 : counts->misses;
-    }
-};
-
-/** Run @p predictor over @p trace from a cold state. */
 SimResult simulate(IndirectPredictor &predictor, const Trace &trace,
-                   const SimOptions &options = {},
-                   SiteMissStats *siteStats = nullptr);
+                   const SimOptions &options = {});
 
 /**
- * Single-pass multi-predictor engine: run every predictor of
- * @p predictors over @p trace in ONE trace traversal, from cold
- * state, producing exactly the SimResult counters simulate() would
- * have produced per predictor (the predictors are independent, so
- * feeding them the same record stream is observationally identical -
- * the differential test in tests/sim pins this bit-for-bit).
+ * The simulation engine: run every predictor of @p predictors over
+ * @p trace in ONE traversal, producing for each exactly the counters
+ * of the paper's per-record protocol (predict, count, update, push
+ * history - the seed loop kept as tests/oracle/reference_simulate.hh
+ * pins this bit for bit).
  *
- * This is how SuiteRunner feeds all columns of a sweep from one
- * traversal per benchmark instead of one per cell, which removes the
- * dominant memory-bandwidth cost of wide sweeps. Restrictions versus
- * the per-cell path: one shared cancellation token covers the whole
- * traversal (a timeout aborts all predictors at once - callers fall
- * back to per-cell isolation, see docs/PERFORMANCE.md), per-site
- * stats are not supported, and each result's `seconds` is synthetic:
- * the traversal wall time divided evenly across predictors, with the
- * real shared wall time in `groupSeconds` and `sharedTraversal` set
- * (only the aggregate of `seconds` is physically meaningful).
+ * The call builds its own SweepKernel (core/sweep_kernel.hh): every
+ * predictor is offered to it, those that join share first-level
+ * histories, key builds and - for equal configurations - whole
+ * state machines, and the bound two-level and confidence-hybrid
+ * columns run in the batched lane engine while the rest take the
+ * generic record-at-a-time path. Conditional records reach only
+ * predictors whose consumesConditionals() holds
+ * (core/predictor.hh).
  *
- * When options.kernel is set, predictors bound to it share their
- * first-level history through the kernel (see SimOptions::kernel);
- * the counters remain bit-identical to the unfused run.
+ * Kernel lifetime: the kernel dies with the call and unbinds every
+ * predictor first, so no pointer into it survives. A predictor's
+ * first-level history lived in the kernel, so its state after the
+ * call is not a resumable snapshot: reset() it before running it
+ * again.
+ *
+ * Timing: each result's `seconds` is the traversal wall time divided
+ * evenly across the predictors, with the undivided time in
+ * `groupSeconds`; `sharedTraversal` marks a quotient of more than
+ * one predictor (only the aggregate is physical then).
  *
  * Null predictor pointers are not allowed. An empty span returns an
  * empty vector without touching the trace.

@@ -4,15 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <limits>
 #include <set>
-#include <system_error>
 #include <thread>
 
 #include "core/simd.hh"
-#include "core/sweep_kernel.hh"
 #include "robust/fault_injection.hh"
 #include "sim/result_store.hh"
 #include "trace/trace_cache.hh"
@@ -22,14 +19,6 @@
 namespace ibp {
 
 namespace {
-
-std::int64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** How long a deferred cell waits for its claim owner to persist it
  *  before this runner simulates it anyway (IBP_CLAIM_WAIT seconds;
@@ -337,8 +326,6 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         if (session.onCellFinished)
             session.onCellFinished();
     };
-    const std::int64_t deadline_ns = static_cast<std::int64_t>(
-        session.retry.cellDeadlineSeconds * 1e9);
 
     Executor &executor = Executor::global();
     executor.ensureWorkers(simulationThreads());
@@ -346,25 +333,24 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     struct Job
     {
         const SweepColumn *column;
-        /** Filled once this benchmark's acquisition lands (the fused
-         *  phase consumes the trace through its continuation before
-         *  that, so it can start the moment the trace exists). */
+        /** Filled at the acquisition barrier, for the steal sweep and
+         *  the deferred-wait loop (grid chunks get the trace through
+         *  their continuation, the moment it exists). */
         const Trace *trace = nullptr;
         const std::string *benchmark;
         double missPercent = 0.0;
-        /** Completed by the single-pass phase; skipped per-cell. */
         bool done = false;
         bool failed = false;
         RunError error;
         /** Result-store cell key; empty = don't probe or persist
          *  (store disabled, column unkeyed, or injector armed). */
         std::string storeKey;
-        /** Claimed by a live peer at construction time: skipped by
-         *  both phases, resolved by the deferred-wait loop (served
-         *  from the store, or simulated if the owner gave up). */
+        /** Claimed by a live peer at construction time: in no grid
+         *  chunk, resolved by the deferred-wait loop (served from the
+         *  store, or simulated if the owner gave up). */
         bool deferred = false;
         /** Another shard's cell, tracked only as a work-stealing
-         *  candidate; skipped by both phases. */
+         *  candidate; in no grid chunk. */
         bool foreign = false;
     };
 
@@ -610,90 +596,9 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         }
     }
 
-    // One slot per pool worker (plus one for off-pool callers, e.g.
-    // inline execution when the pool degraded to zero workers)
-    // carries the watchdog state. The attempt
-    // currently running is published as an *epoch*: the worker bumps
-    // it before arming a deadline, and the watchdog requests
-    // cancellation of the epoch it observed, so a request that lands
-    // after the attempt already finished names a dead epoch and the
-    // next attempt's poll ignores it (the stale-cancel race the old
-    // plain bool had).
-    struct WorkerSlot
-    {
-        /** Epoch of the armed attempt, 0 when idle. */
-        std::atomic<std::uint64_t> epoch{0};
-        std::atomic<std::int64_t> deadlineNs{0};
-        CancelToken token;
-        /** Owner-thread counter; never reused within a slot. */
-        std::uint64_t lastEpoch = 0;
-
-        void
-        arm(std::int64_t deadline_at)
-        {
-            token.armed = ++lastEpoch;
-            epoch.store(token.armed, std::memory_order_release);
-            deadlineNs.store(deadline_at, std::memory_order_release);
-        }
-
-        void
-        disarm()
-        {
-            deadlineNs.store(0, std::memory_order_relaxed);
-            epoch.store(0, std::memory_order_release);
-            token.armed = 0;
-        }
-    };
-    // publishedWorkers() is monotonic and a worker's index is always
-    // below it, so indexing is stable for the whole run; the extra
-    // slot serves any off-pool thread. Tasks on one worker run
-    // sequentially, so each slot has one owner at a time.
-    const unsigned published_workers = executor.publishedWorkers();
-    std::vector<WorkerSlot> slots(published_workers + 1);
-    const auto slotFor = [&slots, published_workers]() -> WorkerSlot & {
-        const int index = Executor::currentWorkerIndex();
-        if (index < 0 ||
-            static_cast<unsigned>(index) >= published_workers) {
-            return slots[published_workers];
-        }
-        return slots[static_cast<unsigned>(index)];
-    };
-
-    std::mutex wd_mutex;
-    std::condition_variable wd_cv;
-    bool wd_stop = false;
-    std::thread watchdog;
-    if (deadline_ns > 0 && !jobs.empty()) {
-        watchdog = std::thread([&]() {
-            std::unique_lock<std::mutex> lock(wd_mutex);
-            while (!wd_stop) {
-                wd_cv.wait_for(lock, std::chrono::milliseconds(20));
-                const std::int64_t now = nowNs();
-                for (auto &slot : slots) {
-                    // Consistent (epoch, deadline) snapshot: if the
-                    // worker swapped attempts between the two epoch
-                    // reads, skip this tick and re-check in 20ms
-                    // rather than cancel with a mismatched pair.
-                    const std::uint64_t e1 =
-                        slot.epoch.load(std::memory_order_acquire);
-                    if (e1 == 0)
-                        continue;
-                    const std::int64_t deadline =
-                        slot.deadlineNs.load(std::memory_order_acquire);
-                    const std::uint64_t e2 =
-                        slot.epoch.load(std::memory_order_acquire);
-                    if (e1 != e2 || deadline == 0 || now < deadline)
-                        continue;
-                    slot.token.requested.store(
-                        e1, std::memory_order_relaxed);
-                }
-            }
-        });
-    }
-
     const auto grid_start = std::chrono::steady_clock::now();
 
-    // Shared by both phases: record one finished cell.
+    // Record one finished cell, whichever chunk simulated it.
     const auto finishCell = [&](Job &job, const SimResult &result) {
         job.missPercent = result.missPercent();
         job.done = true;
@@ -759,41 +664,136 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         notifyCell();
     };
 
-    // Fused-path telemetry (satellite: mirror trace_source). Chunks
-    // run concurrently, so the counters are atomic; a "group" here is
-    // one fused chunk (split-on-idle can divide a benchmark's columns
-    // across several chunks, each fused independently).
-    std::atomic<unsigned> fused_groups{0};
-    std::atomic<unsigned> fallback_factory{0};
-    std::atomic<unsigned> fallback_cancelled{0};
-    std::atomic<unsigned> fallback_injected{0};
-    std::atomic<unsigned> fallback_error{0};
-    std::atomic<unsigned> predictors_bound{0};
-    std::atomic<unsigned> predictors_unbound{0};
-    std::atomic<unsigned> predictors_deduped{0};
-    unsigned fallback_injector_armed = 0;
-    // Block-traversal telemetry summed over successful fused chunks
-    // (metrics.simd; see TraversalStats).
-    std::atomic<std::uint64_t> simd_columnar_blocks{0};
-    std::atomic<std::uint64_t> simd_transposed_blocks{0};
-    std::atomic<std::uint64_t> simd_skipped_records{0};
-    std::atomic<std::uint64_t> simd_lane_columns{0};
-    std::atomic<std::uint64_t> simd_generic_columns{0};
-    std::atomic<std::uint64_t> simd_lane_machines{0};
+    // Engine telemetry, shared by concurrent chunks: chunk outcomes
+    // (a "group" is one grid chunk; split-on-idle can divide a
+    // benchmark's columns across several) and the counters of every
+    // traversal that completed (metrics.simd, metrics.sweep_kernel).
+    std::mutex telemetry_mutex;
+    SweepKernelStats sweep;
+    TraversalStats traversed;
+    const auto countChunk = [&](unsigned SweepKernelStats::*outcome) {
+        std::lock_guard<std::mutex> lock(telemetry_mutex);
+        ++(sweep.*outcome);
+    };
 
-    // Phase 1 (opportunistic): feed all pending columns of a
-    // benchmark from ONE trace traversal with a fused sweep kernel,
-    // each chunk becoming runnable the moment its trace lands
-    // (onTraceReady continuation -> executor task). Skipped when the
-    // fault injector arms the "sim" site - those faults are per-cell
-    // by construction - while the dedicated "fused" site injects
-    // into this phase to test the fallback. Any failure inside a
-    // chunk (factory error, watchdog cancellation, injected fault,
-    // anything the engine throws) simply leaves its jobs pending for
-    // phase 2, which re-runs them under the full per-cell
-    // retry/deadline isolation. Results are bit-identical either way
-    // (see simulateMany()).
-    if (session.singlePass && !jobs.empty()) {
+    // Fresh predictors for @p members, in order; throws when a
+    // factory throws or returns null.
+    const auto makePredictors =
+        [&](const std::vector<std::size_t> &members) {
+            std::vector<std::unique_ptr<IndirectPredictor>> predictors;
+            predictors.reserve(members.size());
+            for (const std::size_t j : members) {
+                predictors.push_back(jobs[j].column->make());
+                if (!predictors.back()) {
+                    throw RunException(RunError::permanent(
+                        "predictor factory for '" +
+                        jobs[j].column->label + "' returned null"));
+                }
+            }
+            return predictors;
+        };
+
+    // The one engine call: @p predictors over @p trace in a single
+    // simulateMany traversal, under a deadline of the per-cell
+    // budget times the cell count. Throws what the engine throws.
+    const auto traverse =
+        [&](const Trace &trace,
+            const std::vector<std::unique_ptr<IndirectPredictor>>
+                &predictors) {
+            std::vector<IndirectPredictor *> raw;
+            raw.reserve(predictors.size());
+            for (const auto &predictor : predictors)
+                raw.push_back(predictor.get());
+            SimOptions options;
+            if (session.retry.cellDeadlineSeconds > 0.0) {
+                options.deadline =
+                    std::chrono::steady_clock::now() +
+                    std::chrono::duration_cast<
+                        std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double>(
+                            session.retry.cellDeadlineSeconds *
+                            static_cast<double>(raw.size())));
+            }
+            TraversalStats traversal;
+            options.traversal = &traversal;
+            std::vector<SimResult> results =
+                simulateMany(raw, trace, options);
+            std::lock_guard<std::mutex> lock(telemetry_mutex);
+            traversed += traversal;
+            return results;
+        };
+
+    // A one-cell chunk: the isolated path every cell falls back to,
+    // and the only path of the steal sweep and the deferred-wait
+    // loop - journal start records, the retry policy, the per-cell
+    // deadline and the "sim" fault site. record_failure=false leaves
+    // a failed cell pending instead of failing the grid - a stolen
+    // cell's owner (or the merge pass) remains responsible for it.
+    const auto runCell = [&](Job &job, const Trace &trace,
+                             bool record_failure) {
+        // Draining: leave the cell unstarted (not failed), so the
+        // resumed run picks it up.
+        if (aborted())
+            return;
+        const std::size_t j =
+            static_cast<std::size_t>(&job - jobs.data());
+        const std::string fault_key = std::to_string(grid_id) + "/" +
+                                      job.column->label + "/" +
+                                      *job.benchmark;
+        // Attempts of dead incarnations count: seeding the
+        // fault-injection attempt with the journalled start count
+        // lets a deterministic injected crash/hang clear when a
+        // fresh process retries the cell.
+        const unsigned prior_starts =
+            journal ? journal->startedCountPrior(
+                          grid_id, job.column->label, *job.benchmark)
+                    : 0;
+        auto outcome = runWithRetries(
+            session.retry, [&](unsigned attempt) {
+                if (journal) {
+                    const auto marked = journal->appendStart(
+                        CheckpointStart{grid_id, job.column->label,
+                                        *job.benchmark});
+                    if (!marked.ok()) {
+                        warn("checkpoint start append failed"
+                             " for %s/%s: %s",
+                             job.column->label.c_str(),
+                             job.benchmark->c_str(),
+                             marked.error().describe().c_str());
+                    }
+                }
+                FaultInjector::global().check("sim", fault_key,
+                                              prior_starts + attempt);
+                return traverse(trace, makePredictors({j})).front();
+            });
+        if (!outcome.ok()) {
+            if (!record_failure)
+                return;
+            job.failed = true;
+            job.error = outcome.error();
+            if (metrics) {
+                metrics->recordFailure(FailureRecord{
+                    job.column->label, *job.benchmark,
+                    job.error.message, errorKindName(job.error.kind),
+                    job.error.attempts});
+            }
+            notifyCell();
+            return;
+        }
+        finishCell(job, outcome.value());
+    };
+
+    // Grid chunks: all pending columns of a benchmark share ONE
+    // trace traversal, each chunk runnable the moment its trace
+    // lands (onTraceReady continuation -> executor task). Any
+    // failure inside a chunk (factory error, deadline, injected
+    // "fused" fault, anything the engine throws) re-spawns its cells
+    // as one-cell chunks under the full per-cell isolation; results
+    // are bit-identical either way, since a column's counters do not
+    // depend on its traversal mates. When the "sim" fault site is
+    // armed, chunks start as single cells: its faults are defined
+    // per (cell, attempt).
+    {
         std::vector<std::vector<std::size_t>> groups;
         std::map<std::string, std::size_t> group_of;
         for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -807,206 +807,146 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 groups.emplace_back();
             groups[it->second].push_back(j);
         }
-
-        if (FaultInjector::global().armedFor("sim")) {
-            fallback_injector_armed =
+        const bool per_cell = FaultInjector::global().armedFor("sim");
+        if (per_cell)
+            sweep.fallbackInjectorArmed =
                 static_cast<unsigned>(groups.size());
-        } else {
-            Executor::Batch batch(executor);
 
-            // One fused chunk: build the members' predictors, bind
-            // them to a kernel, run the shared traversal. Declared as
-            // a std::function so split-off halves can re-enter it.
-            std::function<void(const Trace *,
-                               std::vector<std::size_t>)>
-                runChunk = [&](const Trace *chunk_trace,
-                               std::vector<std::size_t> members) {
-                    // Draining: leave the chunk's jobs pending;
-                    // phase 2 skips them again, so they stay
-                    // unstarted for the resumed run.
-                    if (aborted())
-                        return;
-                    // Split-on-idle: while other workers are parked,
-                    // hand them half of this chunk. Each half fuses
-                    // independently; per-column results do not depend
-                    // on chunk composition, so splitting cannot
-                    // change any counter.
-                    while (members.size() > 1 &&
-                           executor.idleWorkers() > 0) {
-                        const std::size_t keep = members.size() / 2;
-                        std::vector<std::size_t> given(
-                            members.begin() +
-                                static_cast<std::ptrdiff_t>(keep),
-                            members.end());
-                        members.resize(keep);
-                        batch.spawn([&runChunk, chunk_trace,
-                                     given = std::move(given)]() mutable {
-                            runChunk(chunk_trace, std::move(given));
-                        });
-                    }
-
-                    const std::string &benchmark =
-                        *jobs[members.front()].benchmark;
-                    try {
-                        FaultInjector::global().check(
-                            "fused",
-                            std::to_string(grid_id) + "/" + benchmark);
-                    } catch (const RunException &) {
-                        fallback_injected.fetch_add(
-                            1, std::memory_order_relaxed);
-                        return;
-                    }
-
-                    if (journal) {
-                        // One batched start record per chunk member:
-                        // if the process dies inside this traversal,
-                        // the resuming run knows which cells were in
-                        // flight. A single fsync covers the chunk.
-                        std::vector<CheckpointStart> starts;
-                        starts.reserve(members.size());
-                        for (const std::size_t j : members) {
-                            starts.push_back(CheckpointStart{
-                                grid_id, jobs[j].column->label,
-                                *jobs[j].benchmark});
-                        }
-                        const auto marked =
-                            journal->appendStarts(starts);
-                        if (!marked.ok()) {
-                            warn("checkpoint start append failed: %s",
-                                 marked.error().describe().c_str());
-                        }
-                    }
-
-                    std::vector<std::unique_ptr<IndirectPredictor>>
-                        predictors;
-                    std::vector<IndirectPredictor *> raw;
-                    predictors.reserve(members.size());
-                    raw.reserve(members.size());
-                    try {
-                        for (const std::size_t j : members) {
-                            auto predictor = jobs[j].column->make();
-                            if (!predictor) {
-                                throw RunException(RunError::permanent(
-                                    "predictor factory for '" +
-                                    jobs[j].column->label +
-                                    "' returned null"));
-                            }
-                            raw.push_back(predictor.get());
-                            predictors.push_back(std::move(predictor));
-                        }
-                    } catch (...) {
-                        fallback_factory.fetch_add(
-                            1, std::memory_order_relaxed);
-                        return;
-                    }
-
-                    SweepKernel kernel;
-                    for (IndirectPredictor *predictor : raw)
-                        kernel.tryJoin(*predictor);
-                    kernel.finalize();
-
-                    WorkerSlot &slot = slotFor();
-                    try {
-                        if (deadline_ns > 0) {
-                            // The whole-chunk deadline is the sum of
-                            // the per-cell budgets it replaces.
-                            slot.arm(nowNs() +
-                                     deadline_ns *
-                                         static_cast<std::int64_t>(
-                                             members.size()));
-                        }
-                        SimOptions options;
-                        options.cancel = &slot.token;
-                        options.kernel = &kernel;
-                        TraversalStats traversal;
-                        options.traversal = &traversal;
-                        const std::vector<SimResult> results =
-                            simulateMany(raw, *chunk_trace, options);
-                        slot.disarm();
-                        simd_columnar_blocks.fetch_add(
-                            traversal.columnarBlocks,
-                            std::memory_order_relaxed);
-                        simd_transposed_blocks.fetch_add(
-                            traversal.transposedBlocks,
-                            std::memory_order_relaxed);
-                        simd_skipped_records.fetch_add(
-                            traversal.skippedRecords,
-                            std::memory_order_relaxed);
-                        simd_lane_columns.fetch_add(
-                            traversal.laneColumns,
-                            std::memory_order_relaxed);
-                        simd_generic_columns.fetch_add(
-                            traversal.genericColumns,
-                            std::memory_order_relaxed);
-                        simd_lane_machines.fetch_add(
-                            traversal.laneMachines,
-                            std::memory_order_relaxed);
-                        for (std::size_t i = 0; i < members.size();
-                             ++i) {
-                            finishCell(jobs[members[i]], results[i]);
-                        }
-                        fused_groups.fetch_add(
-                            1, std::memory_order_relaxed);
-                        predictors_bound.fetch_add(
-                            kernel.joinedPredictors(),
-                            std::memory_order_relaxed);
-                        predictors_unbound.fetch_add(
-                            kernel.declinedPredictors(),
-                            std::memory_order_relaxed);
-                        predictors_deduped.fetch_add(
-                            kernel.dedupedPredictors(),
-                            std::memory_order_relaxed);
-                    } catch (const RunException &exception) {
-                        // Leave the chunk's jobs pending; phase 2
-                        // gives each cell its own isolated retries.
-                        slot.disarm();
-                        if (exception.error().kind ==
-                            ErrorKind::Timeout) {
-                            fallback_cancelled.fetch_add(
-                                1, std::memory_order_relaxed);
-                        } else {
-                            fallback_error.fetch_add(
-                                1, std::memory_order_relaxed);
-                        }
-                    } catch (...) {
-                        slot.disarm();
-                        fallback_error.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                };
-
-            // Acquisition slot index of each benchmark name (first
-            // occurrence wins, matching finishAcquire).
-            std::map<std::string, std::size_t> name_index;
-            for (std::size_t i = 0; i < _names.size(); ++i)
-                name_index.try_emplace(_names[i], i);
-
-            for (const auto &members : groups) {
-                const std::size_t index =
-                    name_index.at(*jobs[members.front()].benchmark);
-                // defer() reserves the chunk in the batch before the
-                // trace exists, so batch.wait() below cannot return
-                // while any chunk is still gated on acquisition.
-                batch.defer();
-                onTraceReady(index, [&batch, &runChunk,
-                                     members](const Trace *trace) {
-                    if (trace == nullptr) {
-                        // Acquisition failed; the jobs are resolved
-                        // as failed cells after the barrier below.
-                        batch.cancelDeferred();
-                        return;
-                    }
-                    batch.spawnDeferred([&runChunk, trace, members]() {
-                        runChunk(trace, members);
+        Executor::Batch batch(executor);
+        const auto spawnCells =
+            [&](const Trace *trace,
+                const std::vector<std::size_t> &members) {
+                for (const std::size_t j : members) {
+                    batch.spawn([&runCell, &jobs, trace, j]() {
+                        runCell(jobs[j], *trace, true);
                     });
-                });
-            }
-            batch.wait();
+                }
+            };
+
+        // Declared as a std::function so split-off halves can
+        // re-enter it.
+        std::function<void(const Trace *, std::vector<std::size_t>)>
+            runChunk = [&](const Trace *trace,
+                           std::vector<std::size_t> members) {
+                // Draining: leave the chunk's cells unstarted.
+                if (aborted())
+                    return;
+                // Split-on-idle: while other workers are parked,
+                // hand them half of this chunk. Each half is its own
+                // traversal; per-column results do not depend on
+                // chunk composition, so splitting cannot change any
+                // counter.
+                while (members.size() > 1 &&
+                       executor.idleWorkers() > 0) {
+                    const std::size_t keep = members.size() / 2;
+                    std::vector<std::size_t> given(
+                        members.begin() +
+                            static_cast<std::ptrdiff_t>(keep),
+                        members.end());
+                    members.resize(keep);
+                    batch.spawn([&runChunk, trace,
+                                 given = std::move(given)]() mutable {
+                        runChunk(trace, std::move(given));
+                    });
+                }
+
+                const auto fallBack =
+                    [&](unsigned SweepKernelStats::*why) {
+                        countChunk(why);
+                        spawnCells(trace, members);
+                    };
+                try {
+                    FaultInjector::global().check(
+                        "fused", std::to_string(grid_id) + "/" +
+                                     *jobs[members.front()].benchmark);
+                } catch (const RunException &) {
+                    fallBack(&SweepKernelStats::fallbackInjected);
+                    return;
+                }
+
+                if (journal) {
+                    // One batched start record per chunk member: if
+                    // the process dies inside this traversal, the
+                    // resuming run knows which cells were in flight.
+                    // A single fsync covers the chunk.
+                    std::vector<CheckpointStart> starts;
+                    starts.reserve(members.size());
+                    for (const std::size_t j : members) {
+                        starts.push_back(CheckpointStart{
+                            grid_id, jobs[j].column->label,
+                            *jobs[j].benchmark});
+                    }
+                    const auto marked = journal->appendStarts(starts);
+                    if (!marked.ok()) {
+                        warn("checkpoint start append failed: %s",
+                             marked.error().describe().c_str());
+                    }
+                }
+
+                std::vector<std::unique_ptr<IndirectPredictor>>
+                    predictors;
+                try {
+                    predictors = makePredictors(members);
+                } catch (...) {
+                    fallBack(&SweepKernelStats::fallbackFactory);
+                    return;
+                }
+                std::vector<SimResult> results;
+                try {
+                    results = traverse(*trace, predictors);
+                } catch (const RunException &exception) {
+                    fallBack(exception.error().kind ==
+                                     ErrorKind::Timeout
+                                 ? &SweepKernelStats::fallbackCancelled
+                                 : &SweepKernelStats::fallbackError);
+                    return;
+                } catch (...) {
+                    fallBack(&SweepKernelStats::fallbackError);
+                    return;
+                }
+                for (std::size_t i = 0; i < members.size(); ++i)
+                    finishCell(jobs[members[i]], results[i]);
+                countChunk(&SweepKernelStats::groupsFused);
+            };
+
+        // Acquisition slot index of each benchmark name (first
+        // occurrence wins, matching finishAcquire).
+        std::map<std::string, std::size_t> name_index;
+        for (std::size_t i = 0; i < _names.size(); ++i)
+            name_index.try_emplace(_names[i], i);
+
+        for (const auto &members : groups) {
+            const std::size_t index =
+                name_index.at(*jobs[members.front()].benchmark);
+            // defer() reserves the chunk in the batch before the
+            // trace exists, so batch.wait() below cannot return
+            // while any chunk is still gated on acquisition.
+            batch.defer();
+            onTraceReady(index, [&batch, &runChunk, &spawnCells,
+                                 per_cell,
+                                 members](const Trace *trace) {
+                if (trace == nullptr) {
+                    // Acquisition failed; the jobs are resolved as
+                    // failed cells after the barrier below.
+                    batch.cancelDeferred();
+                    return;
+                }
+                batch.spawnDeferred(
+                    [&runChunk, &spawnCells, per_cell, trace,
+                     members]() {
+                        if (per_cell)
+                            spawnCells(trace, members);
+                        else
+                            runChunk(trace, members);
+                    });
+            });
         }
+        batch.wait();
     }
 
-    // Acquisition barrier: phase 2 (and failed-trace resolution)
-    // needs every outcome, not just the ones phase 1 consumed.
+    // Acquisition barrier: failed-trace resolution, the steal sweep
+    // and the deferred-wait loop need every outcome, not just the
+    // ones the chunks consumed.
     waitAcquisition();
     for (auto &job : jobs) {
         if (job.done || job.failed)
@@ -1037,98 +977,6 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         job.trace = &_traces.at(*job.benchmark);
     }
 
-    // One isolated cell attempt, shared by phase 2, the steal sweep
-    // and the deferred-wait loop: the full per-cell machinery
-    // (journal start records, retry policy, watchdog deadline, fault
-    // injection). record_failure=false leaves a failed cell pending
-    // instead of failing the grid - a stolen cell's owner (or the
-    // merge pass) remains responsible for it.
-    const auto attemptCell = [&](Job &job, bool record_failure) {
-        WorkerSlot &slot = slotFor();
-        const std::string fault_key = std::to_string(grid_id) + "/" +
-                                      job.column->label + "/" +
-                                      *job.benchmark;
-        // Attempts of dead incarnations count: seeding the
-        // fault-injection attempt with the journalled start
-        // count lets a deterministic injected crash/hang
-        // clear when a fresh process retries the cell.
-        const unsigned prior_starts =
-            journal ? journal->startedCountPrior(
-                          grid_id, job.column->label, *job.benchmark)
-                    : 0;
-        auto outcome = runWithRetries(
-            session.retry, [&](unsigned attempt) {
-                if (journal) {
-                    const auto marked = journal->appendStart(
-                        CheckpointStart{grid_id, job.column->label,
-                                        *job.benchmark});
-                    if (!marked.ok()) {
-                        warn("checkpoint start append failed"
-                             " for %s/%s: %s",
-                             job.column->label.c_str(),
-                             job.benchmark->c_str(),
-                             marked.error().describe().c_str());
-                    }
-                }
-                if (deadline_ns > 0)
-                    slot.arm(nowNs() + deadline_ns);
-                // The attempt must disarm on every exit path
-                // or the watchdog would target a dead epoch
-                // (and the old plain-bool design would have
-                // cancelled the *next* attempt).
-                struct Disarm
-                {
-                    WorkerSlot &slot;
-                    ~Disarm() { slot.disarm(); }
-                } disarm{slot};
-                FaultInjector::global().check("sim", fault_key,
-                                              prior_starts + attempt);
-                auto predictor = job.column->make();
-                if (!predictor) {
-                    throw RunException(RunError::permanent(
-                        "predictor factory for '" +
-                        job.column->label + "' returned null"));
-                }
-                SimOptions options;
-                options.cancel = &slot.token;
-                return simulate(*predictor, *job.trace, options);
-            });
-        if (!outcome.ok()) {
-            if (!record_failure)
-                return;
-            job.failed = true;
-            job.error = outcome.error();
-            if (metrics) {
-                metrics->recordFailure(FailureRecord{
-                    job.column->label, *job.benchmark,
-                    job.error.message, errorKindName(job.error.kind),
-                    job.error.attempts});
-            }
-            notifyCell();
-            return;
-        }
-        finishCell(job, outcome.value());
-    };
-
-    // Phase 2: per-cell isolation for everything still pending.
-    {
-        Executor::Batch batch(executor);
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            if (jobs[j].done || jobs[j].failed ||
-                jobs[j].deferred || jobs[j].foreign) {
-                continue;
-            }
-            batch.spawn([&, j]() {
-                // Draining: leave the cell unstarted (not failed),
-                // so the resumed run picks it up.
-                if (aborted())
-                    return;
-                attemptCell(jobs[j], true);
-            });
-        }
-        batch.wait();
-    }
-
     // Steal sweep: with our own partition done, pick up foreign
     // cells whose owner shard has neither stored nor claimed them
     // (it crashed, or is simply slower). Claim-gated, so a live
@@ -1151,7 +999,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                     return; // the owner is computing it right now
                 if (store->contains(job.storeKey))
                     return; // it landed while we claimed
-                attemptCell(job, false);
+                runCell(job, *job.trace, false);
                 if (job.done) {
                     stolen_cells.fetch_add(1,
                                            std::memory_order_relaxed);
@@ -1199,7 +1047,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                     continue;
                 }
                 if (force) {
-                    attemptCell(job, true);
+                    runCell(job, *job.trace, true);
                     continue;
                 }
                 CellClaim claim = store->tryClaim(job.storeKey);
@@ -1211,7 +1059,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 // ours now (~CellClaim releases after the store
                 // write inside finishCell).
                 ++store_stats.claims;
-                attemptCell(job, true);
+                runCell(job, *job.trace, true);
             }
             waiting = std::move(still);
             if (waiting.empty())
@@ -1229,15 +1077,6 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         1u, static_cast<unsigned>(std::min<std::size_t>(
                 executor.workerCount(), jobs.size())));
 
-    if (watchdog.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(wd_mutex);
-            wd_stop = true;
-        }
-        wd_cv.notify_one();
-        watchdog.join();
-    }
-
     if (metrics) {
         metrics->recordThreads(threads_used);
         metrics->recordRunWindow(
@@ -1253,53 +1092,31 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                                        _traceStats.streamHits,
                                        _traceStats.seconds);
         }
-        // Fused-path observability, mirroring trace_source: how many
-        // chunks the fused engine served and why any fell back.
-        if (session.singlePass && !jobs.empty()) {
-            SweepKernelStats sweep;
-            sweep.groupsFused =
-                fused_groups.load(std::memory_order_relaxed);
-            sweep.fallbackFactory =
-                fallback_factory.load(std::memory_order_relaxed);
-            sweep.fallbackCancelled =
-                fallback_cancelled.load(std::memory_order_relaxed);
-            sweep.fallbackInjected =
-                fallback_injected.load(std::memory_order_relaxed);
-            sweep.fallbackError =
-                fallback_error.load(std::memory_order_relaxed);
-            sweep.fallbackInjectorArmed = fallback_injector_armed;
+        // Chunk observability, mirroring trace_source: how many grid
+        // chunks completed as one traversal and why any fell back.
+        if (!jobs.empty()) {
             sweep.groupsPerCell =
                 sweep.fallbackFactory + sweep.fallbackCancelled +
                 sweep.fallbackInjected + sweep.fallbackError +
                 sweep.fallbackInjectorArmed;
-            sweep.predictorsBound =
-                predictors_bound.load(std::memory_order_relaxed);
-            sweep.predictorsUnbound =
-                predictors_unbound.load(std::memory_order_relaxed);
-            sweep.predictorsDeduped =
-                predictors_deduped.load(std::memory_order_relaxed);
+            sweep.predictorsBound = traversed.predictorsBound;
+            sweep.predictorsUnbound = traversed.predictorsUnbound;
+            sweep.predictorsDeduped = traversed.predictorsDeduped;
             metrics->recordSweepKernel(sweep);
         }
         // SIMD/SoA observability: the process-wide dispatch level is
         // always worth recording; the traversal counters are summed
-        // over the fused chunks above (zero for per-cell runs, which
-        // is itself informative).
+        // over every completed traversal (see traverse above).
         {
             SimdStats simd;
             simd.dispatchLevel = simdLevelName(simdLevel());
             simd.fallbackReason = simdFallbackReason();
-            simd.columnarBlocks =
-                simd_columnar_blocks.load(std::memory_order_relaxed);
-            simd.transposedBlocks = simd_transposed_blocks.load(
-                std::memory_order_relaxed);
-            simd.skippedRecords =
-                simd_skipped_records.load(std::memory_order_relaxed);
-            simd.laneColumns =
-                simd_lane_columns.load(std::memory_order_relaxed);
-            simd.genericColumns =
-                simd_generic_columns.load(std::memory_order_relaxed);
-            simd.laneMachines =
-                simd_lane_machines.load(std::memory_order_relaxed);
+            simd.columnarBlocks = traversed.columnarBlocks;
+            simd.transposedBlocks = traversed.transposedBlocks;
+            simd.skippedRecords = traversed.skippedRecords;
+            simd.laneColumns = traversed.laneColumns;
+            simd.genericColumns = traversed.genericColumns;
+            simd.laneMachines = traversed.laneMachines;
             metrics->recordSimd(simd);
         }
         // Result-store observability: recorded whenever the store

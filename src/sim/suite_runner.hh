@@ -5,19 +5,19 @@
  * A SuiteRunner acquires the synthetic traces of a set of benchmarks
  * (in parallel, through the on-disk trace cache when one is
  * configured), then evaluates (configuration x benchmark) grids in
- * parallel across hardware threads - by default feeding all columns
- * of a benchmark from a single trace traversal (simulateMany). It
+ * parallel across hardware threads, feeding all columns of a
+ * benchmark from a single trace traversal (simulateMany). It
  * knows the paper's averaging groups (Table 3) and can render
  * results as per-benchmark or per-group ResultTables, which is how
  * every bench binary reproduces its figure or table.
  *
- * Fault tolerance (docs/ROBUSTNESS.md): every cell runs isolated -
- * an error in one (configuration x benchmark) pair is caught,
- * retried under a RetryPolicy when transient, cancelled by a
- * watchdog past its deadline, and on permanent failure recorded as a
- * FailedCell while the rest of the grid completes. Completed cells
- * can be journalled to a CheckpointJournal so a killed sweep resumes
- * where it died.
+ * Fault tolerance (docs/ROBUSTNESS.md): a grid chunk that fails
+ * re-runs its cells as one-cell chunks, so an error in one
+ * (configuration x benchmark) pair is caught, retried under a
+ * RetryPolicy when transient, cancelled past its deadline, and on
+ * permanent failure recorded as a FailedCell while the rest of the
+ * grid completes. Completed cells can be journalled to a
+ * CheckpointJournal so a killed sweep resumes where it died.
  */
 
 #ifndef IBP_SIM_SUITE_RUNNER_HH
@@ -146,16 +146,6 @@ struct RunSession
      */
     std::function<void()> onCellFinished;
     /**
-     * Allow the single-pass multi-predictor engine (simulateMany):
-     * all pending columns of a benchmark are fed from one trace
-     * traversal, and any failure (injected fault, factory error,
-     * watchdog cancellation) falls back to the per-cell isolated
-     * path, so results and isolation semantics are identical either
-     * way (docs/PERFORMANCE.md). Tests set this to false to force
-     * the per-cell reference path.
-     */
-    bool singlePass = true;
-    /**
      * Grid sharding (docs/SERVICE.md): when shardCount > 1 AND a
      * result store is armed, run() simulates only the cells whose
      * benchmark this shard owns - owner = (benchmark index +
@@ -163,7 +153,7 @@ struct RunSession
      * foreign keyed cells stay absent from the grid (a later merge
      * pass restores everything from the store), and unkeyed cells
      * are left for the merge outright (they cannot flow through the
-     * store). Sharding on the BENCHMARK axis keeps every fused
+     * store). Sharding on the BENCHMARK axis keeps every grid
      * chunk (one benchmark, all pending columns) whole, so the
      * shared trace traversal and the equal-config predictor dedup
      * survive the split; the grid-id rotation keeps repeated run()
@@ -264,10 +254,13 @@ class SuiteRunner
     const TraceSourceStats &traceSourceStats() const;
 
     /**
-     * Simulate every (column x benchmark) pair, in parallel, with
-     * per-cell isolation governed by @p session (retries, deadline
-     * watchdog, checkpoint lookup/append, telemetry and failure
-     * records). Consumes one grid id from the session.
+     * Simulate every (column x benchmark) pair, in parallel: each
+     * benchmark's pending columns form a chunk that runs as one
+     * simulateMany traversal, and a failed chunk falls back to
+     * one-cell chunks with the isolation governed by @p session
+     * (retries, per-cell deadline, checkpoint lookup/append,
+     * telemetry and failure records). Consumes one grid id from the
+     * session.
      */
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunSession &session) const;

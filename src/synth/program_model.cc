@@ -817,8 +817,8 @@ ProgramModel::Impl::generate(const GeneratorOptions &options,
                                       BranchKind::Return, true});
         }
     }
-    // Lets simulate() pre-size its per-site accounting instead of
-    // growing it during the measured loop.
+    // Lets per-site accounting pre-size its maps instead of growing
+    // them during a measured loop.
     trace.setSiteCountHint(static_cast<std::uint32_t>(sites.size()));
     return trace;
 }

@@ -90,7 +90,8 @@ class Trace
 
     /**
      * Number of distinct indirect branch sites the generator emitted
-     * (0 when unknown). Pre-sizes per-site accounting in simulate().
+     * (0 when unknown), for sizing per-site accounting up front.
+     * Persisted in the `.ibpm` header.
      */
     std::uint32_t siteCountHint() const { return _siteCountHint; }
     void setSiteCountHint(std::uint32_t count) { _siteCountHint = count; }

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -114,6 +115,39 @@ TEST(ExecutorTest, CancelledDeferredWorkReleasesWait)
     batch.cancelDeferred();
     batch.cancelDeferred();
     batch.wait(); // would hang if cancel didn't release the slots
+}
+
+TEST(ExecutorTest, BatchDestroyedRightAfterWaitIsSafe)
+{
+    // Regression test for a use-after-free: wait() used to return on
+    // a lock-free fast path while the worker that finished the last
+    // task was still about to lock the batch mutex. Create, spawn,
+    // wait and destroy back to back, so a worker still inside a
+    // destroyed batch surfaces under ASan and TSan.
+    Executor &executor = Executor::global();
+    executor.ensureWorkers(4);
+    std::atomic<int> count{0};
+    int expected = 0;
+    for (int round = 0; round < 2000; ++round) {
+        auto batch = std::make_unique<Executor::Batch>(executor);
+        const int tasks = 1 + round % 4;
+        for (int i = 0; i < tasks; ++i) {
+            batch->spawn([&count]() {
+                count.fetch_add(1, std::memory_order_relaxed);
+            });
+        }
+        if (round % 2 == 0) {
+            batch->defer();
+            batch->spawnDeferred([&count]() {
+                count.fetch_add(1, std::memory_order_relaxed);
+            });
+            ++expected;
+        }
+        expected += tasks;
+        batch->wait();
+        batch.reset();
+    }
+    EXPECT_EQ(count.load(), expected);
 }
 
 TEST(ExecutorTest, ResizeUpAndDownKeepsExecuting)

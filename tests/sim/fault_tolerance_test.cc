@@ -3,7 +3,7 @@
  * Fault-tolerance tests of the suite runner: cell isolation, retry
  * of injected transient faults, partial grids and their degraded
  * averages/tables, trace-generation failures, checkpoint/resume
- * reproduction, and watchdog cancellation.
+ * reproduction, and deadline cancellation.
  */
 
 #include <gtest/gtest.h>
@@ -260,52 +260,40 @@ longTrace(const std::string &name)
     return trace;
 }
 
-TEST_F(FaultToleranceTest, SimulateHonoursCancellationToken)
+TEST_F(FaultToleranceTest, SimulateHonoursDeadline)
 {
     const Trace trace = longTrace("cancel-me");
     BtbPredictor predictor(TableSpec::unconstrained(), true);
-    CancelToken token;
-    token.armed = 1;
-    token.requested.store(1);
     SimOptions options;
-    options.cancel = &token;
+    options.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
     try {
         simulate(predictor, trace, options);
-        FAIL() << "cancelled simulation completed";
+        FAIL() << "simulation past its deadline completed";
     } catch (const RunException &exception) {
         EXPECT_EQ(exception.error().kind, ErrorKind::Timeout);
-        EXPECT_NE(exception.error().message.find("watchdog"),
+        EXPECT_NE(exception.error().message.find("deadline"),
                   std::string::npos);
     }
 }
 
-TEST_F(FaultToleranceTest, StaleCancelRequestDoesNotKillNextAttempt)
+TEST_F(FaultToleranceTest, ExpiredDeadlineDoesNotOutliveItsAttempt)
 {
-    // Regression test for the stale-cancel race: the watchdog decides
-    // to cancel attempt N, but its request lands after the worker has
-    // already finished N and armed attempt N+1. With the old plain
-    // cancel flag that request killed the healthy new attempt; the
-    // epoch-tagged token must ignore it because it names a dead
-    // epoch.
+    // Each attempt carries its own deadline value, so an attempt
+    // that ran out of time cannot cancel the next one (the
+    // stale-cancel race a shared cancel flag had).
     const Trace trace = longTrace("stale-cancel");
     BtbPredictor predictor(TableSpec::unconstrained(), true);
-    CancelToken token;
-    token.armed = 2;           // attempt N+1 is running...
-    token.requested.store(1);  // ...the request targets attempt N.
-    EXPECT_FALSE(token.cancelled());
-    SimOptions options;
-    options.cancel = &token;
-    EXPECT_NO_THROW(simulate(predictor, trace, options));
+    SimOptions expired;
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    EXPECT_THROW(simulate(predictor, trace, expired), RunException);
 
-    // A request that names the running epoch still cancels it.
-    token.requested.store(2);
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_THROW(simulate(predictor, trace, options), RunException);
-
-    // An idle token (nothing armed) never reports cancelled, no
-    // matter what stale request it carries.
-    token.armed = 0;
-    EXPECT_FALSE(token.cancelled());
+    predictor.reset();
+    SimOptions next;
+    next.deadline =
+        std::chrono::steady_clock::now() + std::chrono::hours(1);
+    EXPECT_NO_THROW(simulate(predictor, trace, next));
 }
 
 TEST_F(FaultToleranceTest, WatchdogCancelsOverDeadlineCells)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Differential tests of the fused sweep kernel: a grid run through
- * the phase-1 fused engine (shared trace traversal + shared
- * first-level histories, SweepKernel) must produce exactly the
- * counters the per-cell isolated path produces, for every predictor
- * family, at any thread count. Also covers the phase-1 -> phase-2
- * fallback (injected "fused"-site faults, sim-armed injectors) and
- * the scheduler-determinism guarantee (identical tables and
- * checkpoint journals across thread counts).
+ * Differential tests of the fused sweep kernel: a grid chunk run as
+ * one traversal (shared first-level histories, SweepKernel) must
+ * produce exactly the counters of the per-record oracle loop
+ * (tests/oracle/reference_simulate.hh), for every predictor family,
+ * at any thread count. Also covers the chunk -> one-cell fallback
+ * (injected "fused"-site faults, sim-armed injectors) and the
+ * scheduler-determinism guarantee (identical tables and checkpoint
+ * journals across thread counts).
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +23,9 @@
 #include "core/factory.hh"
 #include "core/ittage.hh"
 #include "core/shared_hybrid.hh"
-#include "core/sweep_kernel.hh"
 #include "core/target_cache.hh"
 #include "core/two_level.hh"
+#include "oracle/reference_simulate.hh"
 #include "robust/fault_injection.hh"
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
@@ -142,12 +142,12 @@ expectSameGrid(const SuiteRunner &runner,
     }
 }
 
-TEST_F(FusedKernelTest, KernelRunMatchesSoloRunsBitForBit)
+TEST_F(FusedKernelTest, KernelRunMatchesOracleBitForBit)
 {
     // Engine-level differential, no SuiteRunner scheduling involved:
-    // simulateMany with a SweepKernel versus per-predictor
-    // simulate(), on the same trace (conditionals included so the
-    // conditional-history paths are exercised).
+    // simulateMany (which fuses through its own SweepKernel) versus
+    // the per-record oracle, on the same trace (conditionals
+    // included so the conditional-history paths are exercised).
     SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
     const Trace &trace = runner.trace("idl");
     const auto columns = fusedColumns();
@@ -158,23 +158,17 @@ TEST_F(FusedKernelTest, KernelRunMatchesSoloRunsBitForBit)
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
-    EXPECT_GT(kernel.joinedPredictors(), 0u);
-    EXPECT_GT(kernel.declinedPredictors(), 0u);
-    EXPECT_GT(kernel.groupCount(), 1u);
-
+    TraversalStats traversal;
     SimOptions options;
-    options.kernel = &kernel;
+    options.traversal = &traversal;
     const std::vector<SimResult> many =
         simulateMany(raw, trace, options);
     ASSERT_EQ(many.size(), columns.size());
+    EXPECT_GT(traversal.predictorsBound, 0u);
+    EXPECT_GT(traversal.predictorsUnbound, 0u);
 
     for (std::size_t i = 0; i < columns.size(); ++i) {
-        auto fresh = columns[i].make();
-        const SimResult one = simulate(*fresh, trace);
+        const SimResult one = referenceCell(columns[i], trace);
         EXPECT_EQ(many[i].branches, one.branches) << columns[i].label;
         EXPECT_EQ(many[i].misses, one.misses) << columns[i].label;
         EXPECT_EQ(many[i].noPrediction, one.noPrediction)
@@ -188,14 +182,14 @@ TEST_F(FusedKernelTest, KernelRunMatchesSoloRunsBitForBit)
     }
 }
 
-TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
+TEST_F(FusedKernelTest, DedupedReplicasMatchOracleBitForBit)
 {
     // A fig17-style row: several hybrids share their first component
     // (equal TwoLevelConfig), and two columns are fully identical.
     // The kernel dedupes those into replicas that mirror one
     // primary's per-record predictions instead of simulating their
     // own tables - every counter, including table occupancy, must
-    // still match a solo run of each column exactly.
+    // still match the oracle run of each column exactly.
     SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
     const Trace &trace = runner.trace("idl");
     const auto spec = [](const std::string &text) {
@@ -215,23 +209,18 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
-    // h7/h7-dup first components mirror h5's, h7-dup's second mirrors
-    // h7's, and solo6-dup mirrors solo6: at least four replicas.
-    EXPECT_GE(kernel.dedupedPredictors(), 4u);
-
+    TraversalStats traversal;
     SimOptions options;
-    options.kernel = &kernel;
+    options.traversal = &traversal;
     const std::vector<SimResult> many =
         simulateMany(raw, trace, options);
     ASSERT_EQ(many.size(), columns.size());
+    // h7/h7-dup first components mirror h5's, h7-dup's second mirrors
+    // h7's, and solo6-dup mirrors solo6: at least four replicas.
+    EXPECT_GE(traversal.predictorsDeduped, 4u);
 
     for (std::size_t i = 0; i < columns.size(); ++i) {
-        auto fresh = columns[i].make();
-        const SimResult one = simulate(*fresh, trace);
+        const SimResult one = referenceCell(columns[i], trace);
         EXPECT_EQ(many[i].branches, one.branches) << columns[i].label;
         EXPECT_EQ(many[i].misses, one.misses) << columns[i].label;
         EXPECT_EQ(many[i].noPrediction, one.noPrediction)
@@ -250,11 +239,8 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
     RunMetrics metrics;
     session.metrics = &metrics;
     const GridResult fused = grid_runner.run(columns, session);
-
-    RunSession per_cell;
-    per_cell.singlePass = false;
-    const GridResult reference = grid_runner.run(columns, per_cell);
-    expectSameGrid(grid_runner, columns, fused, reference);
+    expectSameGrid(grid_runner, columns, fused,
+                   referenceGrid(grid_runner, columns));
 
     ASSERT_TRUE(metrics.hasSweepKernel());
     const SweepKernelStats sweep = metrics.sweepKernel();
@@ -264,16 +250,13 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
               sweep.predictorsDeduped);
 }
 
-TEST_F(FusedKernelTest, FusedGridMatchesPerCellGridSingleThread)
+TEST_F(FusedKernelTest, FusedGridMatchesOracleGridSingleThread)
 {
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner runner({"idl", "perl", "self"},
                        /*emitConditionals=*/true);
     const auto columns = fusedColumns();
-
-    RunSession per_cell;
-    per_cell.singlePass = false;
-    const GridResult reference = runner.run(columns, per_cell);
+    const GridResult reference = referenceGrid(runner, columns);
 
     RunSession fused_session;
     RunMetrics metrics;
@@ -321,16 +304,17 @@ TEST_F(FusedKernelTest, FusedGridMatchesAcrossThreadCounts)
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner serial({"idl", "perl"}, /*emitConditionals=*/true);
     RunSession serial_session;
-    serial_session.singlePass = false;
-    const GridResult reference = serial.run(columns, serial_session);
+    const GridResult one_thread = serial.run(columns, serial_session);
 
+    const GridResult reference = referenceGrid(serial, columns);
     expectSameGrid(serial, columns, fused, reference);
+    expectSameGrid(serial, columns, one_thread, reference);
 }
 
 TEST_F(FusedKernelTest, InjectedFusedFaultFallsBackPerCell)
 {
-    // A fault injected at the "fused" site kills every phase-1 chunk;
-    // phase 2 must re-run the cells per-cell with bit-identical
+    // A fault injected at the "fused" site kills every grid chunk;
+    // their cells must re-run as one-cell chunks with bit-identical
     // results and ZERO failure records (the fallback is recovery,
     // not failure).
     SuiteRunner runner({"idl", "self"});
@@ -360,9 +344,9 @@ TEST_F(FusedKernelTest, InjectedFusedFaultFallsBackPerCell)
 
 TEST_F(FusedKernelTest, SimArmedInjectorForcesPerCellAccounting)
 {
-    // Arming the "sim" site must disable phase 1 wholesale: sim
-    // faults are defined per (cell, attempt), which only the
-    // per-cell path can honour. Heavy transient faulting then
+    // Arming the "sim" site must start every chunk as single cells:
+    // sim faults are defined per (cell, attempt), which only the
+    // one-cell path can honour. Heavy transient faulting then
     // retries away without perturbing results.
     SuiteRunner runner({"idl", "self"});
     const std::vector<SweepColumn> columns = {
@@ -395,8 +379,8 @@ TEST_F(FusedKernelTest, SimArmedInjectorForcesPerCellAccounting)
 
 TEST_F(FusedKernelTest, FactoryErrorInChunkFallsBackAndIsolates)
 {
-    // A throwing factory poisons its whole phase-1 chunk (the fused
-    // engine can't build the member set), but phase 2 isolation must
+    // A throwing factory poisons its whole grid chunk (the engine
+    // can't build the member set), but one-cell isolation must
     // still complete every healthy cell and record exactly the bad
     // column's failures.
     SuiteRunner runner({"idl"});

@@ -18,8 +18,8 @@
 
 #include "core/factory.hh"
 #include "core/simd.hh"
-#include "core/sweep_kernel.hh"
 #include "core/target_cache.hh"
+#include "oracle/reference_simulate.hh"
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
@@ -93,8 +93,8 @@ engineColumns()
     };
 }
 
-/** simulateMany over @p trace with a fused kernel, fresh predictors,
- *  filling @p traversal when non-null. */
+/** simulateMany over @p trace with fresh predictors, filling
+ *  @p traversal when non-null. */
 std::vector<SimResult>
 runEngine(const std::vector<SweepColumn> &columns, const Trace &trace,
           TraversalStats *traversal = nullptr)
@@ -105,12 +105,7 @@ runEngine(const std::vector<SweepColumn> &columns, const Trace &trace,
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
     SimOptions options;
-    options.kernel = &kernel;
     options.traversal = traversal;
     return simulateMany(raw, trace, options);
 }
@@ -151,11 +146,10 @@ TEST_F(SimdEngineTest, ForcedScalarMatchesVectorDispatchBitForBit)
         runEngine(columns, trace);
     expectSameResults(columns, vectorized, forced_off);
 
-    // And the scalar engine still matches the per-predictor
-    // reference oracle, closing the loop back to simulate().
+    // And the scalar engine still matches the per-record oracle
+    // loop (tests/oracle/reference_simulate.hh).
     for (std::size_t i = 0; i < columns.size(); ++i) {
-        auto fresh = columns[i].make();
-        const SimResult one = simulate(*fresh, trace);
+        const SimResult one = referenceCell(columns[i], trace);
         EXPECT_EQ(forced_off[i].misses, one.misses)
             << columns[i].label;
         EXPECT_EQ(forced_off[i].branches, one.branches)

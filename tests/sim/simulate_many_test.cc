@@ -1,12 +1,11 @@
 /**
  * @file
- * Differential tests of the single-pass multi-predictor engine:
- * simulateMany() must produce exactly the counters per-predictor
- * simulate() produces, and a SuiteRunner sweep must fill the same
- * grid whether the single-pass phase is on or off, with any thread
- * count. Also covers the SuiteRunner side of the trace cache: a warm
- * cache must satisfy construction with zero generator runs and a
- * byte-identical trace.
+ * Differential tests of the multi-predictor engine: simulateMany()
+ * must produce exactly the counters of the per-record oracle loop
+ * (tests/oracle/reference_simulate.hh), and a SuiteRunner sweep must
+ * fill the oracle's grid with any thread count. Also covers the
+ * SuiteRunner side of the trace cache: a warm cache must satisfy
+ * construction with zero generator runs and a byte-identical trace.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include <memory>
 
 #include "core/factory.hh"
+#include "oracle/reference_simulate.hh"
 #include "sim/suite_runner.hh"
 #include "synth/benchmark_suite.hh"
 #include "trace/trace_cache.hh"
@@ -72,7 +72,7 @@ expectSameResult(const SimResult &many, const SimResult &one)
     EXPECT_EQ(many.tableCapacity, one.tableCapacity);
 }
 
-TEST_F(SimulateManyTest, MatchesSimulateBitForBit)
+TEST_F(SimulateManyTest, MatchesOracleBitForBit)
 {
     SuiteRunner runner({"idl"});
     const Trace &trace = runner.trace("idl");
@@ -88,9 +88,7 @@ TEST_F(SimulateManyTest, MatchesSimulateBitForBit)
     ASSERT_EQ(many.size(), columns.size());
 
     for (std::size_t i = 0; i < columns.size(); ++i) {
-        auto fresh = columns[i].make();
-        const SimResult one = simulate(*fresh, trace);
-        expectSameResult(many[i], one);
+        expectSameResult(many[i], referenceCell(columns[i], trace));
         EXPECT_GT(many[i].branches, 0u);
     }
 }
@@ -106,7 +104,8 @@ TEST_F(SimulateManyTest, HonoursWarmupWindow)
     IndirectPredictor *raw = many_predictor.get();
     const auto many = simulateMany({&raw, 1}, trace, options);
     auto one_predictor = makePredictorFromSpec("btb2bc");
-    const SimResult one = simulate(*one_predictor, trace, options);
+    const SimResult one =
+        referenceSimulate(*one_predictor, trace, options.warmupBranches);
     ASSERT_EQ(many.size(), 1u);
     expectSameResult(many[0], one);
 }
@@ -136,27 +135,23 @@ expectSameGrid(const SuiteRunner &runner,
     }
 }
 
-TEST_F(SimulateManyTest, SinglePassGridMatchesPerCellGrid)
+TEST_F(SimulateManyTest, GridMatchesOracleGrid)
 {
     SuiteRunner runner({"idl", "perl", "self"});
     const auto columns = diverseColumns();
+    const GridResult reference = referenceGrid(runner, columns);
 
-    RunSession per_cell;
-    per_cell.singlePass = false;
-    const GridResult reference = runner.run(columns, per_cell);
-
-    RunSession single_pass;
-    single_pass.singlePass = true;
+    RunSession session;
     RunMetrics metrics;
-    single_pass.metrics = &metrics;
-    const GridResult fast = runner.run(columns, single_pass);
+    session.metrics = &metrics;
+    const GridResult fast = runner.run(columns, session);
 
     expectSameGrid(runner, columns, reference, fast);
     EXPECT_EQ(metrics.cellCount(),
               columns.size() * runner.benchmarks().size());
 }
 
-TEST_F(SimulateManyTest, SinglePassGridMatchesAcrossThreadCounts)
+TEST_F(SimulateManyTest, GridMatchesAcrossThreadCounts)
 {
     const auto columns = diverseColumns();
 

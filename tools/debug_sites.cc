@@ -8,11 +8,64 @@
 
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 
 #include "core/btb.hh"
 #include "sim/simulator.hh"
 #include "synth/benchmark_suite.hh"
 #include "trace/trace_stats.hh"
+
+namespace {
+
+/** Forwards to a wrapped predictor and counts its misses per site. */
+class SiteMissCounter : public ibp::IndirectPredictor
+{
+  public:
+    explicit SiteMissCounter(ibp::IndirectPredictor &inner)
+        : _inner(inner)
+    {
+    }
+
+    ibp::Prediction
+    predict(ibp::Addr pc) override
+    {
+        _last = _inner.predict(pc);
+        return _last;
+    }
+
+    void
+    update(ibp::Addr pc, ibp::Addr actual) override
+    {
+        if (!_last.correctFor(actual))
+            ++_misses[pc];
+        _inner.update(pc, actual);
+    }
+
+    void reset() override { _inner.reset(); }
+    std::string name() const override { return _inner.name(); }
+    std::uint64_t tableCapacity() const override
+    {
+        return _inner.tableCapacity();
+    }
+    std::uint64_t tableOccupancy() const override
+    {
+        return _inner.tableOccupancy();
+    }
+
+    std::uint64_t
+    misses(ibp::Addr pc) const
+    {
+        const auto it = _misses.find(pc);
+        return it == _misses.end() ? 0 : it->second;
+    }
+
+  private:
+    ibp::IndirectPredictor &_inner;
+    ibp::Prediction _last;
+    std::unordered_map<ibp::Addr, std::uint64_t> _misses;
+};
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -22,9 +75,8 @@ main(int argc, char **argv)
     const ibp::TraceStats stats = ibp::computeTraceStats(trace);
 
     ibp::BtbPredictor btb(ibp::TableSpec::unconstrained(), true);
-    ibp::SiteMissStats site_misses;
-    const ibp::SimResult result =
-        ibp::simulate(btb, trace, {}, &site_misses);
+    SiteMissCounter site_misses(btb);
+    const ibp::SimResult result = ibp::simulate(site_misses, trace);
 
     std::printf("%s: btb-2bc miss %.2f%%\n", name.c_str(),
                 result.missPercent());
