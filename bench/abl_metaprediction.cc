@@ -27,7 +27,7 @@ ablMetapredictionExperiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "abl_meta", "Metaprediction ablation (section 6.1)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
 
             const std::uint64_t comp = context.quick() ? 512 : 1024;
             const unsigned short_p = 1, long_p = 5;

@@ -33,7 +33,7 @@ ablVariationsExperiment()
         "3.3/4.1)", [](ExperimentContext &context) {
             // Conditional records are needed by the
             // conditional-targets variant.
-            SuiteRunner runner(benchmarkGroups().avg, true);
+            SuiteRunner runner(benchmarkGroups().avg, true, context.config());
 
             const unsigned p = context.quick() ? 4 : 8;
 

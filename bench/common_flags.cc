@@ -59,6 +59,12 @@ BenchCli
 parseBenchFlags(int argc, char **argv)
 {
     BenchCli cli;
+    // The run's config is the environment's as --quick reads it; the
+    // retry flags below override it.
+    for (int i = 1; i < argc; ++i)
+        cli.options.quick |= std::string_view(argv[i]) == "--quick";
+    RunConfig &config = cli.options.config.emplace(
+        RunConfig::fromEnvironment(cli.options.quick));
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
         if (arg == "--quick") {
@@ -77,12 +83,12 @@ parseBenchFlags(int argc, char **argv)
             if (cli.options.checkpointPath.empty())
                 fatal("--checkpoint requires a path");
         } else if (arg.rfind("--retries=", 0) == 0) {
-            cli.options.retry.maxAttempts = static_cast<unsigned>(
+            config.retry.maxAttempts = static_cast<unsigned>(
                 parsePositiveNumber(arg, arg.substr(10)));
-            if (cli.options.retry.maxAttempts == 0)
-                cli.options.retry.maxAttempts = 1;
+            if (config.retry.maxAttempts == 0)
+                config.retry.maxAttempts = 1;
         } else if (arg.rfind("--cell-deadline=", 0) == 0) {
-            cli.options.retry.cellDeadlineSeconds =
+            config.retry.cellDeadlineSeconds =
                 parsePositiveNumber(arg, arg.substr(16));
         } else if (arg == "--trace-cache") {
             TraceCache::configureGlobal(
@@ -117,12 +123,8 @@ parseBenchFlags(int argc, char **argv)
             fatal("unknown option '%s'", argv[i]);
         }
     }
-    // A quick run also shrinks the synthetic traces unless the user
-    // pinned the scale explicitly. Applied at parse time, before any
-    // trace work - and before makeRunRequest() snapshots the
-    // effective scale for the daemon compatibility check.
-    if (cli.options.quick)
-        applyQuickEventScale();
+    if (const std::string invalid = config.invalidity(); !invalid.empty())
+        fatal("invalid run configuration: %s", invalid.c_str());
     return cli;
 }
 

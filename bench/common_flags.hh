@@ -24,8 +24,8 @@ namespace ibp {
 struct BenchCli
 {
     /** Options for the run itself (quick, csv/json dirs, journal,
-     *  retry policy). Quick's trace-scale cut and --trace-cache are
-     *  applied to the process as side effects of parsing. */
+     *  and the run's config with the retry flags applied).
+     *  --trace-cache is applied to the process while parsing. */
     ExperimentOptions options;
     /** Route through the resident daemon (--daemon given). */
     bool useDaemon = false;

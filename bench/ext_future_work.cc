@@ -29,7 +29,7 @@ extFutureWorkExperiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "ext_future", "Future-work extensions (section 8.1)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const std::uint64_t total = context.quick() ? 1024 : 4096;
 
             const std::vector<SweepColumn> columns = {

@@ -36,7 +36,7 @@ extRelatedWorkExperiment()
         ibp::registerExperiment({
         "ext_related", "Related-work comparison (section 7)", [](ExperimentContext &context) {
             // Conditional records are needed by the Target Cache.
-            SuiteRunner runner(benchmarkGroups().avg, true);
+            SuiteRunner runner(benchmarkGroups().avg, true, context.config());
 
             const std::uint64_t budget =
                 context.quick() ? 512 : 2048;

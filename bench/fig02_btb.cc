@@ -27,7 +27,7 @@ fig02Experiment()
         ibp::registerExperiment({
         "fig02", "Unconstrained BTB vs BTB-2bc (Figure 2)",
         [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::fullSuite();
+            auto runner = SuiteRunner::fullSuite(false, context.config());
 
             const std::vector<SweepColumn> columns = {
                 btbColumn("BTB", TableSpec::unconstrained(), false),

@@ -25,7 +25,7 @@ fig05Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "fig05", "History-pattern sharing sweep (Figure 5)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::fullSuite();
+            auto runner = SuiteRunner::fullSuite(false, context.config());
 
             std::vector<SweepColumn> columns;
             std::vector<unsigned> sweep = {2,  4,  6,  8,  10, 12,

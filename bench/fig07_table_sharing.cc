@@ -27,7 +27,7 @@ fig07Experiment()
         ibp::registerExperiment({
         "fig07", "History-table sharing sweep (Figure 7)",
         [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::fullSuite();
+            auto runner = SuiteRunner::fullSuite(false, context.config());
 
             std::vector<SweepColumn> columns;
             std::vector<unsigned> sweep = {2,  4,  6,  8,  10, 12,

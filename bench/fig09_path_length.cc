@@ -27,7 +27,7 @@ fig09Experiment()
         ibp::registerExperiment({
         "fig09", "Path-length sweep p=0..18 (Figure 9)",
         [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::fullSuite();
+            auto runner = SuiteRunner::fullSuite(false, context.config());
 
             std::vector<SweepColumn> columns;
             const unsigned step = context.quick() ? 3 : 1;

@@ -42,7 +42,7 @@ fig10Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "fig10", "Limited-precision history patterns (Figure 10)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             ResultTable table(

@@ -26,7 +26,7 @@ fig11Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "fig11", "Capacity misses: fully-assoc LRU tables (Figure 11)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             std::vector<unsigned> path_lengths = {0, 1, 2, 3,

@@ -82,7 +82,7 @@ fig12Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "fig12", "Interleaving vs concatenation (Figures 12-15)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
             const unsigned max_p = context.quick() ? 6 : 12;
 

@@ -28,7 +28,7 @@ fig16Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "fig16", "Associativity x size x path length (Figure 16)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             std::vector<std::uint64_t> sizes = {128,  512,  2048,

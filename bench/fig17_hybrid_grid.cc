@@ -30,7 +30,7 @@ fig17Experiment()
         ibp::registerExperiment({
         "fig17", "Hybrid path-length grid (Figure 17)",
         [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             const unsigned max_p = context.quick() ? 6 : 12;

@@ -29,7 +29,7 @@ fig18Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "fig18", "Best non-hybrid predictor per size (Figure 18)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             std::vector<std::uint64_t> sizes = {

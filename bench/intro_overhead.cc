@@ -61,7 +61,7 @@ introOverheadExperiment()
         "Indirect share of branch-miss overhead (section 1)", [](ExperimentContext &context) {
             // Conditional records are needed for the measured
             // conditional-predictor rates.
-            SuiteRunner runner(benchmarkGroups().avg, true);
+            SuiteRunner runner(benchmarkGroups().avg, true, context.config());
             constexpr double cond_miss = 0.03; // [YP93]-era 97% hit
 
             const std::vector<SweepColumn> columns = {

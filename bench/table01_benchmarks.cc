@@ -37,8 +37,8 @@ table01Experiment()
             }
 
             for (const auto &profile : benchmarkSuite()) {
-                const Trace trace =
-                    generateBenchmarkTrace(profile.name, true);
+                const Trace trace = generateBenchmarkTrace(
+                    profile.name, true, context.config().eventScale);
                 const TraceStats stats = computeTraceStats(trace);
                 // No simulation here; record the trace itself as
                 // one telemetry cell so the artifact still carries

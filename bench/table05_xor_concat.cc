@@ -28,7 +28,7 @@ table05Experiment()
         ibp::registerExperiment({
         "table05", "Key mixing: concat vs xor (Table 5)",
         [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             ResultTable table(

@@ -29,7 +29,7 @@ table06Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "table06", "Best hybrid predictors (Table 6 / Figure 18)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::avgSuite();
+            auto runner = SuiteRunner::avgSuite(false, context.config());
             const auto &avg = benchmarkGroups().avg;
 
             // Candidate (short, long) component pairs; the paper's

@@ -44,7 +44,7 @@ tableA1Experiment()
     static const ibp::ExperimentDef &def =
         ibp::registerExperiment({
         "tableA1", "Per-benchmark predictor grid (Table A-1)", [](ExperimentContext &context) {
-            SuiteRunner runner = SuiteRunner::fullSuite();
+            auto runner = SuiteRunner::fullSuite(false, context.config());
 
             std::vector<std::uint64_t> sizes = {256, 1024, 8192};
             if (context.quick())

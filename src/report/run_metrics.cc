@@ -31,6 +31,7 @@ RunMetrics::operator=(const RunMetrics &other)
     _simd = other._simd;
     _hasServe = other._hasServe;
     _serve = other._serve;
+    _serveFallbackReason = other._serveFallbackReason;
     _hasResultStore = other._hasResultStore;
     _resultStore = other._resultStore;
     return *this;
@@ -182,6 +183,20 @@ RunMetrics::serve() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return _serve;
+}
+
+void
+RunMetrics::recordServeFallback(const std::string &reason)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    _serveFallbackReason = reason;
+}
+
+std::string
+RunMetrics::serveFallbackReason() const
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    return _serveFallbackReason;
 }
 
 void
@@ -460,6 +475,7 @@ RunMetrics::toJson() const
     if (hasServe()) {
         const ServeMetrics stats = serve();
         Json served = Json::object();
+        served.set("served", true);
         served.set("requests", stats.requests);
         served.set("coalesced", stats.coalesced);
         served.set("admission_rejects", stats.admissionRejects);
@@ -485,6 +501,12 @@ RunMetrics::toJson() const
             served.set("shard", std::move(shard));
         }
         json.set("serve", std::move(served));
+    } else if (const std::string reason = serveFallbackReason();
+               !reason.empty()) {
+        Json fallback = Json::object();
+        fallback.set("served", false);
+        fallback.set("fallback_reason", reason);
+        json.set("serve", std::move(fallback));
     }
 
     // Likewise emitted only when a result store was armed, so
@@ -617,7 +639,13 @@ RunMetrics::fromJson(const Json &json)
             block.numberOr("lane_machines", 0));
         metrics.recordSimd(stats);
     }
-    if (json.contains("serve")) {
+    const bool fell_back = json.contains("serve") &&
+                           json.at("serve").contains("served") &&
+                           !json.at("serve").at("served").asBool();
+    if (fell_back) {
+        metrics.recordServeFallback(
+            json.at("serve").stringOr("fallback_reason", "?"));
+    } else if (json.contains("serve")) {
         const Json &served = json.at("serve");
         ServeMetrics stats;
         stats.requests = static_cast<unsigned>(

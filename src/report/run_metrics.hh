@@ -83,10 +83,11 @@ struct SweepKernelStats
 
 /**
  * Telemetry of the ibpd sweep daemon (docs/SERVICE.md), recorded by
- * the server into artifacts it serves and by the client into the
- * artifact it writes locally. Its presence is what distinguishes a
- * daemon-served artifact from an in-process one (report_diff
- * --require-served gates on it); everything else about a served
+ * the server into artifacts it serves. Its presence (metrics.serve
+ * with served: true) is what distinguishes a daemon-served artifact
+ * from an in-process one (report_diff --require-served gates on it);
+ * a --daemon run that fell back in-process carries only served:
+ * false and the fallback reason. Everything else about a served
  * artifact is bit-identical to the in-process run.
  */
 /**
@@ -354,6 +355,18 @@ class RunMetrics
      *  served by (or through) an ibpd daemon. */
     bool hasServe() const;
 
+    /**
+     * Record that a --daemon run was NOT served and why: the client
+     * fell back in-process. The artifact then carries
+     * metrics.serve = {served: false, fallback_reason}; hasServe()
+     * stays false. Thread-safe.
+     */
+    void recordServeFallback(const std::string &reason);
+
+    /** Why the daemon did not serve this run ("" when it did, or
+     *  when no daemon was asked). */
+    std::string serveFallbackReason() const;
+
     /** Daemon-service telemetry (zeros if never recorded). */
     ServeMetrics serve() const;
 
@@ -391,6 +404,7 @@ class RunMetrics
     SimdStats _simd;
     bool _hasServe = false;
     ServeMetrics _serve;
+    std::string _serveFallbackReason;
     bool _hasResultStore = false;
     ResultStoreStats _resultStore;
 };

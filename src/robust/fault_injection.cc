@@ -38,6 +38,7 @@ Result<FaultInjector>
 FaultInjector::parse(const std::string &spec)
 {
     FaultInjector injector;
+    injector._spec = spec;
     std::stringstream stream(spec);
     std::string clause;
     while (std::getline(stream, clause, ',')) {
@@ -97,46 +98,6 @@ FaultInjector::parse(const std::string &spec)
         injector._sites.push_back(std::move(site));
     }
     return injector;
-}
-
-namespace {
-
-FaultInjector &
-globalInstance()
-{
-    static FaultInjector injector = [] {
-        const char *env = std::getenv("IBP_FAULT_INJECT");
-        if (!env || !*env)
-            return FaultInjector();
-        Result<FaultInjector> parsed = FaultInjector::parse(env);
-        if (!parsed.ok()) {
-            fatal("IBP_FAULT_INJECT: %s",
-                  parsed.error().message.c_str());
-        }
-        return std::move(parsed).value();
-    }();
-    return injector;
-}
-
-} // namespace
-
-const FaultInjector &
-FaultInjector::global()
-{
-    return globalInstance();
-}
-
-void
-FaultInjector::configureGlobal(const std::string &spec)
-{
-    if (spec.empty()) {
-        globalInstance() = FaultInjector();
-        return;
-    }
-    Result<FaultInjector> parsed = parse(spec);
-    if (!parsed.ok())
-        fatal("fault spec: %s", parsed.error().message.c_str());
-    globalInstance() = std::move(parsed).value();
 }
 
 bool

@@ -2,9 +2,10 @@
  * @file
  * Deterministic fault injection for testing the recovery paths.
  *
- * The IBP_FAULT_INJECT environment variable arms probabilistic
- * failures at named sites of the harness. Spec grammar (clauses
- * separated by commas):
+ * A fault spec arms probabilistic failures at named sites of the
+ * harness. It is part of a run's RunConfig (sim/run_config.hh): the
+ * CLI reads it from IBP_FAULT_INJECT, and a daemon-served job carries
+ * its client's spec. Spec grammar (clauses separated by commas):
  *
  *   spec   := clause ("," clause)*
  *   clause := SITE ":" PROB [":" KIND] | "seed=" N
@@ -76,22 +77,10 @@ class FaultInjector
     /** Parse a spec; error on bad grammar. */
     static Result<FaultInjector> parse(const std::string &spec);
 
-    /**
-     * The process-wide injector, armed from IBP_FAULT_INJECT on
-     * first use. A malformed spec is a startup configuration error
-     * and fatal()s - silently ignoring it would un-test the very
-     * paths the user asked to test.
-     */
-    static const FaultInjector &global();
-
-    /**
-     * Re-arm the process-wide injector (tests). Pass "" to disarm.
-     * Not thread-safe against concurrent global() users; call only
-     * from single-threaded test setup.
-     */
-    static void configureGlobal(const std::string &spec);
-
     bool armed() const { return !_sites.empty(); }
+
+    /** The spec this injector was parsed from ("" = disarmed). */
+    const std::string &spec() const { return _spec; }
 
     /** True when a clause names @p site (fused-path gating: a
      *  sim-armed injector must force the per-cell reference path,
@@ -126,6 +115,7 @@ class FaultInjector
   private:
     std::vector<FaultSite> _sites;
     std::uint64_t _seed = 0;
+    std::string _spec;
 };
 
 } // namespace ibp

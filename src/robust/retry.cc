@@ -1,7 +1,6 @@
 #include "robust/retry.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace ibp {
 
@@ -14,29 +13,6 @@ RetryPolicy::backoffFor(unsigned next) const
     for (unsigned i = 2; i < next; ++i)
         seconds *= backoffMultiplier;
     return std::min(seconds, maxBackoffSeconds);
-}
-
-RetryPolicy
-retryPolicyFromEnv()
-{
-    RetryPolicy policy;
-    if (const char *env = std::getenv("IBP_MAX_ATTEMPTS")) {
-        const long attempts = std::atol(env);
-        if (attempts >= 1 && attempts <= 100)
-            policy.maxAttempts = static_cast<unsigned>(attempts);
-    }
-    if (const char *env = std::getenv("IBP_CELL_DEADLINE")) {
-        const double seconds = std::atof(env);
-        if (seconds > 0.0)
-            policy.cellDeadlineSeconds = seconds;
-    }
-    if (const char *env = std::getenv("IBP_POISON_THRESHOLD")) {
-        const long threshold = std::atol(env);
-        if (threshold >= 1 && threshold <= 100)
-            policy.poisonThreshold =
-                static_cast<unsigned>(threshold);
-    }
-    return policy;
 }
 
 } // namespace ibp

@@ -58,13 +58,6 @@ struct RetryPolicy
 };
 
 /**
- * Policy with the IBP_MAX_ATTEMPTS, IBP_CELL_DEADLINE and
- * IBP_POISON_THRESHOLD environment overrides applied (values are
- * clamped to sane ranges; garbage falls back to the defaults).
- */
-RetryPolicy retryPolicyFromEnv();
-
-/**
  * Run @p body under @p policy. @p body receives the 1-based attempt
  * number (fault-injection decisions hash it) and either returns T or
  * throws (RunException for classified errors; any other

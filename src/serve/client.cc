@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "robust/fault_injection.hh"
-#include "robust/retry.hh"
 #include "serve/protocol.hh"
 
 namespace ibp {
@@ -98,7 +97,7 @@ converse(const std::string &socket_path, const RunRequest &request,
         // The serve.io site models a flaky transport on the CLIENT
         // side: the retry-then-fallback ladder is tested by arming
         // it, no misbehaving server needed (docs/SERVICE.md).
-        const FaultInjector &injector = FaultInjector::global();
+        const FaultInjector &injector = request.config.faults;
         injector.check("serve.io", request.slug, attempt);
         const auto sent = writeFrame(fd, request.toJson());
         if (!sent.ok()) {
@@ -197,6 +196,27 @@ converse(const std::string &socket_path, const RunRequest &request,
     }
 }
 
+/** Write the artifact to jsonDir, if set; a failure is fatal. */
+void
+persistArtifact(const ExperimentDef &def,
+                const ExperimentOptions &options,
+                ExperimentRunResult &result)
+{
+    if (options.jsonDir.empty())
+        return;
+    try {
+        std::filesystem::create_directories(options.jsonDir);
+        writeArtifactFile(*result.artifact, options.jsonDir, def.slug,
+                          *options.config, options.echo);
+    } catch (const std::exception &exception) {
+        result.exitCode = 1;
+        result.error = exception.what();
+        if (options.echo)
+            std::fprintf(stderr, "experiment failed: %s\n",
+                         exception.what());
+    }
+}
+
 /**
  * Render a served artifact exactly as the in-process path would:
  * tables and notes to stdout, CSVs to csvDir, the artifact JSON to
@@ -236,27 +256,6 @@ renderServed(const ExperimentDef &def,
                                 path.c_str());
             }
         }
-        if (!options.jsonDir.empty()) {
-            std::filesystem::create_directories(options.jsonDir);
-            const std::string path =
-                options.jsonDir + "/" + def.slug + ".json";
-            const auto written = runWithRetries(
-                options.retry, [&](unsigned attempt) {
-                    FaultInjector::global().check("artifact", path,
-                                                  attempt);
-                    const auto wrote = artifact.write(path);
-                    if (!wrote.ok())
-                        throw RunException(wrote.error());
-                });
-            if (!written.ok()) {
-                throw RunException(RunError::permanent(
-                    "artifact write failed: " +
-                    written.error().describe()));
-            }
-            if (options.echo)
-                std::printf("(json artifact written to %s)\n",
-                            path.c_str());
-        }
     } catch (const std::exception &exception) {
         result.exitCode = 1;
         result.error = exception.what();
@@ -265,21 +264,9 @@ renderServed(const ExperimentDef &def,
                          exception.what());
         return;
     }
-    const std::size_t failed_cells =
-        artifact.metrics.failureCount();
-    if (failed_cells > 0 && options.echo) {
-        std::fprintf(stderr,
-                     "warning: %zu cell%s failed permanently:\n",
-                     failed_cells, failed_cells == 1 ? "" : "s");
-        for (const auto &failure : artifact.metrics.failures()) {
-            std::fprintf(stderr, "  [%s][%s] %s: %s\n",
-                         failure.column.c_str(),
-                         failure.benchmark.c_str(),
-                         failure.kind.c_str(),
-                         failure.error.c_str());
-        }
-    }
+    persistArtifact(def, options, result);
     if (options.echo && result.exitCode != 1) {
+        warnFailedCells(artifact);
         std::printf("[%s done in %.1f s, served]\n",
                     def.slug.c_str(), result.seconds);
     }
@@ -289,7 +276,7 @@ renderServed(const ExperimentDef &def,
 
 ExperimentRunResult
 runExperimentViaDaemon(const ExperimentDef &def,
-                       const ExperimentOptions &options,
+                       const ExperimentOptions &requested,
                        const ClientOptions &client,
                        ServedOutcome *outcome)
 {
@@ -297,9 +284,13 @@ runExperimentViaDaemon(const ExperimentDef &def,
     ServedOutcome &served = outcome != nullptr ? *outcome : scratch;
     served = ServedOutcome{};
 
+    // One config for the request and for a fallback run alike.
+    ExperimentOptions options = requested;
+    options.config = requested.runConfig();
     const std::string socket_path =
         daemonSocketPath(client.socketPath);
-    RunRequest base = makeRunRequest(def.slug, options.quick);
+    RunRequest base =
+        makeRunRequest(def.slug, options.quick, *options.config);
     base.priority = client.priority;
 
     const unsigned max_attempts =
@@ -359,7 +350,15 @@ runExperimentViaDaemon(const ExperimentDef &def,
                     fallback_reason.c_str());
         std::fflush(stdout);
     }
-    return runExperimentInProcess(def, options);
+    // Written here, once the artifact records why it was not served.
+    ExperimentOptions local = options;
+    local.jsonDir.clear();
+    ExperimentRunResult result = runExperimentInProcess(def, local);
+    if (result.artifact) {
+        result.artifact->metrics.recordServeFallback(fallback_reason);
+        persistArtifact(def, options, result);
+    }
+    return result;
 }
 
 } // namespace ibp

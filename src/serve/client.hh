@@ -7,9 +7,10 @@
  * daemon, follows the streamed progress, and renders the returned
  * artifact exactly as the in-process path would have (tables to
  * stdout, CSVs to --csv, the JSON artifact to --json). Because the
- * daemon refuses configuration mismatches and runs the identical
- * engine, the rendered artifact is bit-identical to an in-process
- * run - the only observable difference is the metrics.serve block.
+ * request carries the run's config, the daemon runs it under that
+ * config with the identical engine (refusing only another build), so
+ * the rendered artifact is bit-identical to an in-process run - the
+ * only observable difference is the metrics.serve block.
  *
  * Degradation ladder, in order:
  *  - admission rejection ("queue full"): sleep the server's
@@ -17,10 +18,11 @@
  *  - transient transport trouble (torn frame, daemon draining,
  *    injected `serve.io` fault): back off and retry the whole
  *    conversation, up to maxAttempts times;
- *  - no daemon, incompatible configuration, server-side error, or
- *    retries exhausted: FALL BACK to runExperimentInProcess(), so
- *    `--daemon` can be left on unconditionally - a missing daemon
- *    costs one connect() and changes nothing.
+ *  - no daemon, another build, server-side error, or retries
+ *    exhausted: FALL BACK to runExperimentInProcess(), so `--daemon`
+ *    can be left on unconditionally - a missing daemon costs one
+ *    connect() and changes nothing but metrics.serve, which records
+ *    the fallback reason.
  */
 
 #ifndef IBP_SERVE_CLIENT_HH
@@ -75,8 +77,9 @@ struct ServedOutcome
  * runExperimentInProcess(@p def, @p options) when the daemon is
  * absent, incompatible, or persistently unreachable. The
  * ExperimentOptions govern local rendering (echo/csvDir/jsonDir) in
- * both modes; abort/onCellFinished/checkpointPath only apply to the
- * in-process fallback (the daemon manages its own journals).
+ * both modes, and their run config (options.runConfig()) is what
+ * the daemon runs; abort/onCellFinished/checkpointPath only apply to
+ * the in-process fallback (the daemon manages its own journals).
  */
 ExperimentRunResult
 runExperimentViaDaemon(const ExperimentDef &def,

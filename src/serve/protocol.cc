@@ -14,9 +14,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/spec_codec.hh"
 #include "report/artifact.hh"
-#include "sim/suite_runner.hh"
-#include "synth/benchmark_suite.hh"
 
 namespace ibp {
 
@@ -332,42 +331,31 @@ listenDaemon(const std::string &socket_path)
 std::string
 RunRequest::signature() const
 {
-    // Every knob that shapes the artifact, canonically rendered.
-    // The old slug+quick signature let two requests differing only
-    // in event scale coalesce onto one
-    // execution - one of them got the other's artifact. %.17g keeps
-    // distinct doubles distinct (to_string truncates at 6 digits).
-    char scale[32];
-    std::snprintf(scale, sizeof(scale), "%.17g", eventScale);
-    return slug + "|" + (quick ? "q" : "f") + "|e" + scale + "|t" +
-           std::to_string(threads) + "|x" + faultSpec;
+    // Every knob that shapes the artifact, canonically rendered: the
+    // JSON writer prints doubles in shortest round-trip form, so
+    // distinct scales never alias.
+    return slug + "|" + (quick ? "q" : "f") + "|" +
+           config.toJson().dump();
 }
 
 std::string
-RunRequest::incompatibilityWith(const RunRequest &mine) const
+RunRequest::incompatibilityWith(const std::string &server_sha) const
 {
-    if (eventScale != mine.eventScale) {
-        return "event scale mismatch (client " +
-               std::to_string(eventScale) + ", server " +
-               std::to_string(mine.eventScale) + ")";
-    }
-    if (threads != mine.threads) {
-        return "thread count mismatch (client " +
-               std::to_string(threads) + ", server " +
-               std::to_string(mine.threads) + ")";
-    }
-    if (faultSpec != mine.faultSpec) {
-        return "fault injection mismatch (client '" + faultSpec +
-               "', server '" + mine.faultSpec + "')";
-    }
-    const bool shas_known = !gitSha.empty() && gitSha != "unknown" &&
-                            !mine.gitSha.empty() &&
-                            mine.gitSha != "unknown";
-    if (shas_known && gitSha != mine.gitSha) {
+    const auto known = [](const std::string &sha) {
+        return !sha.empty() && sha != "unknown";
+    };
+    if (known(gitSha) && known(server_sha) && gitSha != server_sha) {
         return "build mismatch (client " + gitSha + ", server " +
-               mine.gitSha + ")";
+               server_sha + ")";
     }
     return "";
+}
+
+std::string
+RunRequest::journalStem() const
+{
+    return slug + (quick ? "-quick-" : "-") +
+           specHashHex(specBytesHash(config.toJson().dump()));
 }
 
 Json
@@ -379,10 +367,8 @@ RunRequest::toJson() const
     json.set("quick", Json(quick));
     json.set("priority", priority);
     json.set("rejects", rejects);
-    json.set("event_scale", eventScale);
-    json.set("threads", threads);
     json.set("git_sha", gitSha);
-    json.set("fault_inject", faultSpec);
+    json.set("config", config.toJson());
     return json;
 }
 
@@ -390,34 +376,37 @@ Result<RunRequest>
 RunRequest::fromJson(const Json &json)
 {
     RunRequest request;
-    request.slug = json.stringOr("slug", "");
-    if (request.slug.empty())
-        return RunError::permanent("run request without a slug");
-    request.quick =
-        json.contains("quick") && json.at("quick").asBool();
-    request.priority =
-        static_cast<int>(json.numberOr("priority", 0));
-    request.rejects =
-        static_cast<unsigned>(json.numberOr("rejects", 0));
-    request.eventScale = json.numberOr("event_scale", 1.0);
-    request.threads =
-        static_cast<unsigned>(json.numberOr("threads", 0));
-    request.gitSha = json.stringOr("git_sha", "");
-    request.faultSpec = json.stringOr("fault_inject", "");
+    try {
+        request.slug = json.stringOr("slug", "");
+        if (request.slug.empty())
+            return RunError::permanent("run request without a slug");
+        request.quick =
+            json.contains("quick") && json.at("quick").asBool();
+        request.priority =
+            static_cast<int>(json.numberOr("priority", 0));
+        request.rejects =
+            static_cast<unsigned>(json.numberOr("rejects", 0));
+        request.gitSha = json.stringOr("git_sha", "");
+        auto config = RunConfig::fromJson(json.at("config"));
+        if (!config.ok())
+            return config.error();
+        request.config = std::move(config).value();
+    } catch (const JsonError &error) {
+        return RunError::permanent(std::string("run request: ") +
+                                   error.what());
+    }
     return request;
 }
 
 RunRequest
-makeRunRequest(const std::string &slug, bool quick)
+makeRunRequest(const std::string &slug, bool quick,
+               const RunConfig &config)
 {
     RunRequest request;
     request.slug = slug;
     request.quick = quick;
-    request.eventScale = eventScale();
-    request.threads = simulationThreads();
     request.gitSha = buildManifest().gitSha;
-    if (const char *env = std::getenv("IBP_FAULT_INJECT"))
-        request.faultSpec = env;
+    request.config = config;
     return request;
 }
 

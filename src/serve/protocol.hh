@@ -17,8 +17,9 @@
  * writer per socket and makes torn-frame handling trivial.
  *
  * Every frame I/O on the CLIENT side passes the `serve.io` fault
- * injection site (IBP_FAULT_INJECT=serve.io:PROB), which is how the
- * retry-then-fallback path is tested without a misbehaving server.
+ * site of the client's config (IBP_FAULT_INJECT=serve.io:PROB), which
+ * is how the retry-then-fallback path is tested without a
+ * misbehaving server.
  */
 
 #ifndef IBP_SERVE_PROTOCOL_HH
@@ -28,6 +29,7 @@
 #include <string>
 
 #include "robust/error.hh"
+#include "sim/run_config.hh"
 #include "util/json.hh"
 
 namespace ibp {
@@ -80,11 +82,9 @@ Result<int> connectDaemon(const std::string &socketPath);
 Result<int> listenDaemon(const std::string &socketPath);
 
 /**
- * One "run" request. The compatibility fields (eventScale, threads,
- * gitSha, faultSpec) describe the CLIENT's effective configuration;
- * the server refuses requests whose configuration differs from its
- * own (frame "incompatible"), because a served artifact must be
- * bit-identical to the one the client would produce in-process.
+ * One "run" request. The server runs the job under the request's
+ * RunConfig, not its own environment, so a served artifact is
+ * bit-identical to the client's in-process one.
  */
 struct RunRequest
 {
@@ -95,39 +95,37 @@ struct RunRequest
     /** Admission rejections this request already rode out; folded
      *  into the artifact's metrics.serve.admission_rejects. */
     unsigned rejects = 0;
-    double eventScale = 1.0;
-    unsigned threads = 0;
     std::string gitSha;
-    /** The client's IBP_FAULT_INJECT spec ("" = no injection). An
-     *  armed injector changes which cells fail, so it must match
-     *  like any other artifact-shaping knob. */
-    std::string faultSpec;
+    /** The config the job runs under. */
+    RunConfig config;
 
     /**
      * Coalescing signature: requests with equal signatures share one
      * execution. Folds in EVERY artifact-affecting knob (slug, quick,
-     * event scale, threads, fault-injection spec); priority/rejects
-     * stay out on purpose, and the git sha is left to the
-     * compatibility check (incompatibilityWith), which knows how to
-     * treat unknown shas.
+     * the whole config); priority/rejects stay out on purpose, and
+     * the git sha is left to the compatibility check
+     * (incompatibilityWith), which knows how to treat unknown shas.
      */
     std::string signature() const;
 
-    /**
-     * Why a server whose own configuration is @p server must refuse
-     * this request, or "" when compatible. A daemon-served artifact
-     * must be bit-identical to the client's in-process run, so every
-     * knob that shapes results has to match; git shas are only
-     * compared when both sides know theirs (release builds may not).
-     */
-    std::string incompatibilityWith(const RunRequest &server) const;
+    /** Why a server built from @p serverSha must refuse this
+     *  request, or "": known shas must match (release builds may
+     *  not know theirs); all else travels in the config. */
+    std::string incompatibilityWith(const std::string &serverSha) const;
+
+    /** File-name stem of this request's journals: slug, "-quick",
+     *  and a config hash, so jobs differing only in config never
+     *  share a journal. */
+    std::string journalStem() const;
 
     Json toJson() const;
+    /** Malformed input is an error, never fatal. */
     static Result<RunRequest> fromJson(const Json &json);
 };
 
-/** The client's effective configuration for @p slug/@p quick. */
-RunRequest makeRunRequest(const std::string &slug, bool quick);
+/** A request for @p slug that runs under @p config. */
+RunRequest makeRunRequest(const std::string &slug, bool quick,
+                          const RunConfig &config);
 
 } // namespace ibp
 

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "robust/atomic_file.hh"
-#include "robust/fault_injection.hh"
 #include "sim/result_store.hh"
 
 namespace ibp {
@@ -270,9 +269,8 @@ SweepServer::handleStats(int fd)
 void
 SweepServer::handleRun(int fd, const RunRequest &request)
 {
-    const RunRequest mine = makeRunRequest(request.slug,
-                                           request.quick);
-    const std::string reason = request.incompatibilityWith(mine);
+    const std::string reason =
+        request.incompatibilityWith(buildManifest().gitSha);
     if (!reason.empty()) {
         {
             std::lock_guard<std::mutex> lock(_statsMutex);
@@ -514,6 +512,7 @@ SweepServer::runJob(const std::shared_ptr<Job> &job,
     } else {
         ExperimentOptions options;
         options.quick = job->request.quick;
+        options.config = job->request.config;
         options.echo = false;
         options.checkpointPath = checkpointPathFor(job->request);
         options.abort = &_drainFlag;
@@ -622,15 +621,15 @@ SweepServer::enqueueJobLocked(const std::shared_ptr<Job> &job)
     // supervised pool of at least two lanes, a shardable experiment
     // (every cell store-keyed) and an armed result store. Everything
     // else runs as one whole job on one lane, exactly as before.
-    // Fault injection disarms the store inside SuiteRunner, so a
-    // sharded fan-out would just repeat the whole grid per lane -
-    // don't plan one.
+    // A job with armed faults disarms the store inside SuiteRunner,
+    // so a sharded fan-out would just repeat the whole grid per lane
+    // - don't plan one.
     const ExperimentDef *def = findExperiment(job->request.slug);
     const bool shard = _supervisor != nullptr && _config.shardJobs &&
                        _config.lanes >= 2 && def != nullptr &&
                        def->shardable &&
                        ResultStore::global() != nullptr &&
-                       !FaultInjector::global().armed();
+                       !job->request.config.faults.armed();
     if (!shard) {
         Task task;
         task.job = job;
@@ -1025,8 +1024,7 @@ SweepServer::laneViews() const
 std::string
 SweepServer::checkpointPathFor(const RunRequest &request) const
 {
-    return _config.stateDir + "/" + request.slug +
-           (request.quick ? "-quick" : "") + ".ckpt";
+    return _config.stateDir + "/" + request.journalStem() + ".ckpt";
 }
 
 std::string
@@ -1037,8 +1035,7 @@ SweepServer::shardCheckpointPathFor(const RunRequest &request,
     // The shard count is part of the name: a restart that re-plans
     // against a different lane count starts fresh journals, and the
     // cells the old plan finished are still served by the store.
-    return _config.stateDir + "/" + request.slug +
-           (request.quick ? "-quick" : "") + ".shard" +
+    return _config.stateDir + "/" + request.journalStem() + ".shard" +
            std::to_string(shard_index) + "of" +
            std::to_string(shard_count) + ".ckpt";
 }
@@ -1046,8 +1043,7 @@ SweepServer::shardCheckpointPathFor(const RunRequest &request,
 void
 SweepServer::removeShardCheckpoints(const RunRequest &request) const
 {
-    const std::string prefix =
-        request.slug + (request.quick ? "-quick" : "") + ".shard";
+    const std::string prefix = request.journalStem() + ".shard";
     std::error_code ec;
     std::filesystem::directory_iterator it(_config.stateDir, ec);
     if (ec)

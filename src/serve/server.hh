@@ -25,8 +25,11 @@
  *  - ADMISSION CONTROL bounds the queue: a request that would push
  *    the queued depth past the configured bound is rejected with a
  *    retry-after hint instead of being buffered without limit.
- *  - COALESCING: a request whose signature (slug + quick) matches a
- *    queued or running job attaches to that job as an additional
+ *  - EACH JOB RUNS ITS CLIENT'S CONFIG: the RunConfig carried by
+ *    the request (trace scale, faults, retry policy), not the
+ *    daemon's environment; only a build-sha mismatch is refused.
+ *  - COALESCING: a request whose signature (slug + quick + config)
+ *    matches a queued or running job attaches to that job as an additional
  *    subscriber; both clients receive the identical artifact of one
  *    execution, and the artifact's metrics.serve.coalesced counts
  *    the shared riders.

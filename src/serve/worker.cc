@@ -147,6 +147,7 @@ runLaneJob(LaneState &state, const Json &frame)
 
     ExperimentOptions options;
     options.quick = request.quick;
+    options.config = request.config;
     options.checkpointPath = frame.stringOr("checkpoint", "");
     options.echo = false;
     options.abort = &state.abort;

@@ -88,13 +88,6 @@ resetExperimentRegistryAfterFork()
     new (&registryMutex()) std::mutex();
 }
 
-void
-applyQuickEventScale()
-{
-    if (!std::getenv("IBP_EVENTS"))
-        setenv("IBP_EVENTS", "0.25", 1);
-}
-
 ExperimentContext::ExperimentContext(std::string slug,
                                      std::string title,
                                      const ExperimentOptions &options)
@@ -105,16 +98,16 @@ ExperimentContext::ExperimentContext(std::string slug,
         ensureDirectory(_options.csvDir, "csv output");
     if (!_options.jsonDir.empty())
         ensureDirectory(_options.jsonDir, "json output");
+    _session.config = _options.runConfig();
 
     if (!_options.checkpointPath.empty()) {
         // The meta binds the journal to this experiment
-        // configuration; eventScale() reflects any quick override
-        // applied by the front end, so a quick journal cannot resume
-        // a full run.
+        // configuration, so a quick journal cannot resume a full
+        // run.
         CheckpointMeta meta;
         meta.slug = _slug;
         meta.gitSha = buildManifest().gitSha;
-        meta.eventScale = eventScale();
+        meta.eventScale = _session.config.eventScale;
         meta.quick = _options.quick;
         auto journal =
             CheckpointJournal::open(_options.checkpointPath, meta);
@@ -132,7 +125,6 @@ ExperimentContext::ExperimentContext(std::string slug,
 
     _session.metrics = &_metrics;
     _session.checkpoint = _journal.get();
-    _session.retry = _options.retry;
     _session.abort = _options.abort;
     _session.onCellFinished = _options.onCellFinished;
     _session.shardIndex = _options.shardIndex;
@@ -183,7 +175,7 @@ ExperimentContext::buildArtifact(double total_seconds) const
     artifact.manifest = buildManifest();
     artifact.manifest.slug = _slug;
     artifact.manifest.title = _title;
-    artifact.manifest.eventScale = eventScale();
+    artifact.manifest.eventScale = _session.config.eventScale;
     artifact.manifest.threads = simulationThreads();
     artifact.manifest.quick = _options.quick;
     artifact.tables = _tables;
@@ -196,16 +188,55 @@ ExperimentContext::buildArtifact(double total_seconds) const
     return artifact;
 }
 
+void
+writeArtifactFile(const RunArtifact &artifact, const std::string &dir,
+                  const std::string &slug, const RunConfig &config,
+                  bool echo)
+{
+    const std::string path = dir + "/" + slug + ".json";
+    const auto written =
+        runWithRetries(config.retry, [&](unsigned attempt) {
+            config.faults.check("artifact", path, attempt);
+            const auto result = artifact.write(path);
+            if (!result.ok())
+                throw RunException(result.error());
+        });
+    if (!written.ok()) {
+        throw RunException(RunError::permanent(
+            "artifact write failed: " + written.error().describe()));
+    }
+    if (echo)
+        std::printf("(json artifact written to %s)\n", path.c_str());
+}
+
+void
+warnFailedCells(const RunArtifact &artifact)
+{
+    const std::size_t failed_cells = artifact.metrics.failureCount();
+    if (failed_cells == 0)
+        return;
+    std::fprintf(stderr, "warning: %zu cell%s failed permanently:\n",
+                 failed_cells, failed_cells == 1 ? "" : "s");
+    for (const auto &failure : artifact.metrics.failures()) {
+        std::fprintf(stderr, "  [%s][%s] %s: %s\n",
+                     failure.column.c_str(), failure.benchmark.c_str(),
+                     failure.kind.c_str(), failure.error.c_str());
+    }
+}
+
 ExperimentRunResult
 runExperimentInProcess(const ExperimentDef &def,
-                       const ExperimentOptions &options)
+                       const ExperimentOptions &requested)
 {
+    // One config for the header, the context and the artifact write.
+    ExperimentOptions options = requested;
+    options.config = requested.runConfig();
     ExperimentRunResult out;
     if (options.echo) {
         std::printf("=== %s: %s ===\n", def.slug.c_str(),
                     def.title.c_str());
         std::printf("(threads: %u, event scale: %.2f)\n\n",
-                    simulationThreads(), eventScale());
+                    simulationThreads(), options.config->eventScale);
     }
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&start]() {
@@ -221,44 +252,14 @@ runExperimentInProcess(const ExperimentDef &def,
             context.buildArtifact(elapsed()));
 
         if (!options.jsonDir.empty()) {
-            const std::string path =
-                options.jsonDir + "/" + def.slug + ".json";
-            // Artifact writes retry like any other cell work: a
-            // transient (or injected) failure must not discard a
-            // finished sweep.
-            const auto written = runWithRetries(
-                options.retry, [&](unsigned attempt) {
-                    FaultInjector::global().check("artifact", path,
-                                                  attempt);
-                    const auto result = out.artifact->write(path);
-                    if (!result.ok())
-                        throw RunException(result.error());
-                });
-            if (!written.ok()) {
-                throw RunException(RunError::permanent(
-                    "artifact write failed: " +
-                    written.error().describe()));
-            }
-            if (options.echo)
-                std::printf("(json artifact written to %s)\n",
-                            path.c_str());
+            writeArtifactFile(*out.artifact, options.jsonDir, def.slug,
+                              *options.config, options.echo);
         }
 
         const std::size_t failed_cells =
             out.artifact->metrics.failureCount();
-        if (failed_cells > 0 && options.echo) {
-            std::fprintf(stderr,
-                         "warning: %zu cell%s failed permanently:\n",
-                         failed_cells, failed_cells == 1 ? "" : "s");
-            for (const auto &failure :
-                 out.artifact->metrics.failures()) {
-                std::fprintf(stderr, "  [%s][%s] %s: %s\n",
-                             failure.column.c_str(),
-                             failure.benchmark.c_str(),
-                             failure.kind.c_str(),
-                             failure.error.c_str());
-            }
-        }
+        if (options.echo)
+            warnFailedCells(*out.artifact);
         // Exit 3 = completed but partial; distinguishable from both
         // a clean run (0) and a fatal failure (1) in scripts and CI.
         out.exitCode = failed_cells > 0 ? 3 : 0;

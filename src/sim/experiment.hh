@@ -27,13 +27,14 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "report/artifact.hh"
 #include "report/run_metrics.hh"
 #include "robust/checkpoint.hh"
-#include "robust/retry.hh"
+#include "sim/run_config.hh"
 #include "sim/suite_runner.hh"
 #include "util/format.hh"
 
@@ -50,14 +51,14 @@ struct ExperimentOptions
     std::string csvDir;
     /** Write the run artifact to jsonDir/<slug>.json. */
     std::string jsonDir;
-    /** Cut the workload for smoke runs (benches may shrink sweeps;
-     *  the trace scale cut rides on IBP_EVENTS, applied by the CLI
-     *  before the run - see applyQuickEventScale()). */
+    /** Cut the workload for smoke runs: benches may shrink sweeps,
+     *  and the default config's trace scale drops to 0.25. */
     bool quick = false;
     /** Journal completed cells here and resume after a crash. */
     std::string checkpointPath;
-    /** Per-cell retry/deadline policy. */
-    RetryPolicy retry = retryPolicyFromEnv();
+    /** The run's config; unset = RunConfig::fromEnvironment(quick),
+     *  read when the run starts. The daemon sets its client's. */
+    std::optional<RunConfig> config;
     /** Print tables, notes and progress to stdout. The daemon runs
      *  with echo=false: clients render the returned artifact. */
     bool echo = true;
@@ -65,6 +66,12 @@ struct ExperimentOptions
      *  new cells (started cells finish and are journalled), so the
      *  run can be checkpointed and resumed (docs/SERVICE.md). */
     const std::atomic<bool> *abort = nullptr;
+    /** config, else the environment's. */
+    RunConfig runConfig() const
+    {
+        return config ? *config : RunConfig::fromEnvironment(quick);
+    }
+
     /** Invoked after every resolved cell (done or failed), from
      *  worker threads; the serve layer streams progress with it. */
     std::function<void()> onCellFinished;
@@ -92,6 +99,9 @@ class ExperimentContext
     /** True when the run was asked to shrink its sweep. */
     bool quick() const { return _options.quick; }
 
+    /** The run's config; bodies build every SuiteRunner from it. */
+    const RunConfig &config() const { return _session.config; }
+
     /** Print a table (when echoing) and record it for the artifact;
      *  with csvDir, also persist it. */
     void emit(const ResultTable &table);
@@ -107,7 +117,7 @@ class ExperimentContext
 
     /**
      * The run session benches should hand to SuiteRunner::run():
-     * telemetry sink, retry/deadline policy, the optional checkpoint
+     * telemetry sink, the run's config, the optional checkpoint
      * journal, and the serve-layer abort/progress hooks.
      */
     RunSession &session() { return _session; }
@@ -197,15 +207,15 @@ ExperimentRunResult
 runExperimentInProcess(const ExperimentDef &def,
                        const ExperimentOptions &options);
 
-/**
- * Apply the --quick trace-scale cut: set IBP_EVENTS=0.25 unless the
- * user pinned the scale explicitly. Called by the CLI front end
- * before any trace work; NOT by runExperimentInProcess, because the
- * daemon cannot re-point the process environment per job (it
- * instead admits only jobs whose effective scale matches its own;
- * docs/SERVICE.md).
- */
-void applyQuickEventScale();
+/** Write @p artifact to @p dir/<slug>.json, retried under
+ *  @p config (a transient failure must not discard a finished
+ *  sweep); throws when every attempt failed. */
+void writeArtifactFile(const RunArtifact &artifact,
+                       const std::string &dir, const std::string &slug,
+                       const RunConfig &config, bool echo);
+
+/** Print the failed-cell warning for @p artifact to stderr. */
+void warnFailedCells(const RunArtifact &artifact);
 
 } // namespace ibp
 

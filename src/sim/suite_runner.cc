@@ -103,8 +103,8 @@ GridResult::average(const std::string &column,
 }
 
 SuiteRunner::SuiteRunner(std::vector<std::string> benchmarks,
-                         bool emit_conditionals)
-    : _names(std::move(benchmarks)),
+                         bool emit_conditionals, RunConfig config)
+    : _names(std::move(benchmarks)), _config(std::move(config)),
       _emitConditionals(emit_conditionals)
 {
     // An unknown benchmark name is a startup configuration error and
@@ -120,24 +120,18 @@ SuiteRunner::SuiteRunner(std::vector<std::string> benchmarks,
     executor.ensureWorkers(simulationThreads());
     _acquireBatch = std::make_unique<Executor::Batch>(executor);
 
-    const RetryPolicy policy = retryPolicyFromEnv();
     TraceCache *cache = TraceCache::global();
-    // Snapshot the injector BY VALUE: acquisition outlives this
-    // constructor, and tests re-arm the global right after it
-    // returns - the tasks must keep the configuration they were
-    // spawned under.
-    const FaultInjector injector = FaultInjector::global();
-
     for (std::size_t i = 0; i < _names.size(); ++i) {
-        _acquireBatch->spawn([this, i, emit_conditionals, policy,
-                              cache, injector]() {
+        _acquireBatch->spawn([this, i, emit_conditionals, cache]() {
             const std::string &name = _names[i];
             const auto generate = [&]() -> Result<Trace> {
-                return runWithRetries(policy, [&](unsigned attempt) {
-                    injector.check("trace", name, attempt);
-                    return generateBenchmarkTrace(name,
-                                                  emit_conditionals);
-                });
+                return runWithRetries(
+                    _config.retry, [&](unsigned attempt) {
+                        _config.faults.check("trace", name, attempt);
+                        return generateBenchmarkTrace(
+                            name, emit_conditionals,
+                            _config.eventScale);
+                    });
             };
             if (cache) {
                 // getOrGenerate coordinates concurrent callers of
@@ -146,8 +140,8 @@ SuiteRunner::SuiteRunner(std::vector<std::string> benchmarks,
                 // would duplicate work the moment two daemon
                 // clients, or two runners in one process, race on a
                 // cold cache.
-                const std::string key =
-                    benchmarkTraceCacheKey(name, emit_conditionals);
+                const std::string key = benchmarkTraceCacheKey(
+                    name, emit_conditionals, _config.eventScale);
                 auto acquired =
                     cache->getOrGenerate(key, generate, name);
                 if (!acquired.ok()) {
@@ -270,18 +264,19 @@ SuiteRunner::traceSourceStats() const
 }
 
 SuiteRunner
-SuiteRunner::avgSuite(bool emit_conditionals)
+SuiteRunner::avgSuite(bool emit_conditionals, const RunConfig &config)
 {
-    return SuiteRunner(benchmarkGroups().avg, emit_conditionals);
+    return SuiteRunner(benchmarkGroups().avg, emit_conditionals,
+                       config);
 }
 
 SuiteRunner
-SuiteRunner::fullSuite(bool emit_conditionals)
+SuiteRunner::fullSuite(bool emit_conditionals, const RunConfig &config)
 {
     std::vector<std::string> names = benchmarkGroups().avg;
     const auto &infrequent = benchmarkGroups().infrequent;
     names.insert(names.end(), infrequent.begin(), infrequent.end());
-    return SuiteRunner(std::move(names), emit_conditionals);
+    return SuiteRunner(std::move(names), emit_conditionals, config);
 }
 
 const Trace &
@@ -294,24 +289,20 @@ SuiteRunner::trace(const std::string &benchmark) const
     return it->second;
 }
 
-unsigned
-simulationThreads()
-{
-    if (const char *env = std::getenv("IBP_THREADS")) {
-        // Clamp to >= 1 so IBP_THREADS=0 (or garbage) still yields
-        // a usable serial run instead of silently ignoring the
-        // override.
-        return static_cast<unsigned>(
-            std::max(1L, std::atol(env)));
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 4 : hw;
-}
-
 GridResult
 SuiteRunner::run(const std::vector<SweepColumn> &columns,
                  RunSession &session) const
 {
+    if (session.config.eventScale != _config.eventScale) {
+        throw RunException(RunError::permanent(
+            "runner traces are at event scale " +
+            std::to_string(_config.eventScale) +
+            " but the run is at " +
+            std::to_string(session.config.eventScale) +
+            "; build the runner from ExperimentContext::config()"));
+    }
+    const RetryPolicy &retry = session.config.retry;
+    const FaultInjector &faults = session.config.faults;
     const unsigned grid_id = session.nextGridId++;
     RunMetrics *metrics = session.metrics;
     CheckpointJournal *journal = session.checkpoint;
@@ -356,12 +347,11 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
 
     // Content-addressed result store (docs/PERFORMANCE.md): keyed
     // columns probe it before simulating and persist what they
-    // compute. An armed fault injector bypasses the store wholesale -
+    // compute. A run with armed faults bypasses the store wholesale -
     // injected faults must reach a real simulation, and a faulted
     // run must never pollute the store.
-    ResultStore *store = ResultStore::global();
-    if (FaultInjector::global().armed())
-        store = nullptr;
+    ResultStore *store =
+        faults.armed() ? nullptr : ResultStore::global();
     // Shard fan-out and cell claims both communicate through the
     // store; without one they degrade to a plain full run (correct,
     // just unshared). See the RunSession field docs.
@@ -499,7 +489,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 // and move on (docs/ROBUSTNESS.md).
                 const unsigned prior = journal->startedCountPrior(
                     grid_id, column.label, name);
-                if (prior >= session.retry.poisonThreshold) {
+                if (prior >= retry.poisonThreshold) {
                     const std::string message =
                         "cell poisoned: " + std::to_string(prior) +
                         " prior incarnations died inside it";
@@ -705,13 +695,13 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             for (const auto &predictor : predictors)
                 raw.push_back(predictor.get());
             SimOptions options;
-            if (session.retry.cellDeadlineSeconds > 0.0) {
+            if (retry.cellDeadlineSeconds > 0.0) {
                 options.deadline =
                     std::chrono::steady_clock::now() +
                     std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
                         std::chrono::duration<double>(
-                            session.retry.cellDeadlineSeconds *
+                            retry.cellDeadlineSeconds *
                             static_cast<double>(raw.size())));
             }
             TraversalStats traversal;
@@ -749,7 +739,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                           grid_id, job.column->label, *job.benchmark)
                     : 0;
         auto outcome = runWithRetries(
-            session.retry, [&](unsigned attempt) {
+            retry, [&](unsigned attempt) {
                 if (journal) {
                     const auto marked = journal->appendStart(
                         CheckpointStart{grid_id, job.column->label,
@@ -762,8 +752,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                              marked.error().describe().c_str());
                     }
                 }
-                FaultInjector::global().check("sim", fault_key,
-                                              prior_starts + attempt);
+                faults.check("sim", fault_key, prior_starts + attempt);
                 return traverse(trace, makePredictors({j})).front();
             });
         if (!outcome.ok()) {
@@ -807,7 +796,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 groups.emplace_back();
             groups[it->second].push_back(j);
         }
-        const bool per_cell = FaultInjector::global().armedFor("sim");
+        const bool per_cell = faults.armedFor("sim");
         if (per_cell)
             sweep.fallbackInjectorArmed =
                 static_cast<unsigned>(groups.size());
@@ -856,8 +845,8 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                         spawnCells(trace, members);
                     };
                 try {
-                    FaultInjector::global().check(
-                        "fused", std::to_string(grid_id) + "/" +
+                    faults.check("fused",
+                                 std::to_string(grid_id) + "/" +
                                      *jobs[members.front()].benchmark);
                 } catch (const RunException &) {
                     fallBack(&SweepKernelStats::fallbackInjected);
@@ -1160,22 +1149,8 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
 {
     RunSession session;
     session.metrics = metrics;
-    session.retry = retryPolicyFromEnv();
+    session.config = _config;
     return run(columns, session);
-}
-
-std::map<std::string, double>
-SuiteRunner::runOne(const PredictorFactory &factory,
-                    RunMetrics *metrics) const
-{
-    const GridResult grid =
-        run({SweepColumn{"only", factory}}, metrics);
-    std::map<std::string, double> rates;
-    for (const auto &name : _names) {
-        if (grid.has("only", name))
-            rates[name] = grid.get("only", name);
-    }
-    return rates;
 }
 
 std::vector<std::pair<std::string, std::vector<std::string>>>

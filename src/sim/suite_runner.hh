@@ -38,6 +38,7 @@
 #include "robust/checkpoint.hh"
 #include "robust/retry.hh"
 #include "sim/executor.hh"
+#include "sim/run_config.hh"
 #include "sim/simulator.hh"
 #include "synth/benchmark_suite.hh"
 #include "util/format.hh"
@@ -118,7 +119,7 @@ class GridResult
 
 /**
  * Mutable state shared by the run() calls of one experiment: where
- * telemetry and failures go, the retry/deadline policy, the optional
+ * telemetry and failures go, the run's config, the optional
  * checkpoint journal, and the grid-id counter that keeps repeated
  * run() calls distinguishable inside the journal.
  */
@@ -126,7 +127,10 @@ struct RunSession
 {
     RunMetrics *metrics = nullptr;
     CheckpointJournal *checkpoint = nullptr;
-    RetryPolicy retry;
+    /** The run's config: its retry policy and `sim`/`fused` fault
+     *  sites govern every cell. run() fails a grid whose runner was
+     *  built at another event scale. */
+    RunConfig config = RunConfig::fromEnvironment(false);
     /** Next grid id; run() consumes one per call. */
     unsigned nextGridId = 0;
     /**
@@ -203,7 +207,10 @@ class SuiteRunner
      * @param benchmarks        benchmark names to simulate;
      * @param emitConditionals  include conditional-branch records in
      *                          the generated traces (needed only by
-     *                          predictors that consume them).
+     *                          predictors that consume them);
+     * @param config            sizes the traces and governs their
+     *                          generation (bodies pass
+     *                          ExperimentContext::config()).
      *
      * Traces are acquired *asynchronously* on the process-wide
      * executor (Executor::global(), sized by simulationThreads()):
@@ -212,8 +219,8 @@ class SuiteRunner
      * task first consults the on-disk trace cache when one is
      * configured (TraceCache::global(), i.e. `--trace-cache` /
      * IBP_TRACE_CACHE), and only misses run the generator - under
-     * the session-independent retry policy from the environment -
-     * then populate the cache for the next run. run() overlaps
+     * @p config's retry policy - then populate the cache for the
+     * next run. run() overlaps
      * simulation with acquisition (a benchmark's sweep group starts
      * the moment its trace lands); the accessors below block until
      * acquisition completes, and the destructor waits for any tasks
@@ -221,16 +228,25 @@ class SuiteRunner
      * stays in benchmarks() but every later run() marks its cells
      * failed instead of aborting the suite.
      */
-    explicit SuiteRunner(std::vector<std::string> benchmarks,
-                         bool emitConditionals = false);
+    explicit SuiteRunner(
+        std::vector<std::string> benchmarks,
+        bool emitConditionals = false,
+        RunConfig config = RunConfig::fromEnvironment(false));
 
     ~SuiteRunner();
 
     /** The paper's 13-program AVG set (OO + C). */
-    static SuiteRunner avgSuite(bool emitConditionals = false);
+    static SuiteRunner
+    avgSuite(bool emitConditionals = false,
+             const RunConfig &config = RunConfig::fromEnvironment(false));
 
     /** All 17 programs. */
-    static SuiteRunner fullSuite(bool emitConditionals = false);
+    static SuiteRunner
+    fullSuite(bool emitConditionals = false,
+              const RunConfig &config = RunConfig::fromEnvironment(false));
+
+    /** The config the traces were acquired under. */
+    const RunConfig &config() const { return _config; }
 
     const std::vector<std::string> &benchmarks() const
     {
@@ -266,16 +282,11 @@ class SuiteRunner
                    RunSession &session) const;
 
     /**
-     * Convenience overload: a throwaway session with the environment
-     * retry policy, no checkpoint, and @p metrics as the sink.
+     * Convenience overload: a throwaway session under this runner's
+     * config, no checkpoint, and @p metrics as the sink.
      */
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunMetrics *metrics = nullptr) const;
-
-    /** Run a single configuration, returning benchmark -> miss %. */
-    std::map<std::string, double>
-    runOne(const PredictorFactory &factory,
-           RunMetrics *metrics = nullptr) const;
 
     /**
      * Render a grid as a table with one row per averaging group that
@@ -329,6 +340,7 @@ class SuiteRunner
     void waitAcquisition() const;
 
     std::vector<std::string> _names;
+    RunConfig _config;
     /** Snapshot of the constructor flag: together with a benchmark
      *  name it reproduces the trace cache key, which run() folds
      *  into result-store cell keys without waiting for the trace. */
@@ -356,13 +368,6 @@ class SuiteRunner
      */
     mutable std::unique_ptr<Executor::Batch> _acquireBatch;
 };
-
-/**
- * Number of worker threads used by SuiteRunner::run. Overridable via
- * the IBP_THREADS environment variable (clamped to >= 1); defaults
- * to the hardware concurrency.
- */
-unsigned simulationThreads();
 
 } // namespace ibp
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -195,42 +194,34 @@ benchmarkGroups()
     return groups;
 }
 
-double
-eventScale()
-{
-    const char *env = std::getenv("IBP_EVENTS");
-    if (!env)
-        return 1.0;
-    const double scale = std::atof(env);
-    return std::clamp(scale <= 0 ? 1.0 : scale, 0.01, 100.0);
-}
-
 namespace {
 
 /** Scaled event count a default-length generation run emits. */
 std::uint64_t
-scaledEvents(const BenchmarkProfile &profile)
+scaledEvents(const BenchmarkProfile &profile, double event_scale)
 {
     return std::max<std::uint64_t>(
         1000, static_cast<std::uint64_t>(
                   static_cast<double>(profile.defaultEvents) *
-                  eventScale()));
+                  event_scale));
 }
 
 } // namespace
 
 Trace
-generateBenchmarkTrace(const std::string &name, bool emitConditionals)
+generateBenchmarkTrace(const std::string &name, bool emitConditionals,
+                       double event_scale)
 {
     const BenchmarkProfile &profile = benchmarkProfile(name);
     GeneratorOptions options;
-    options.events = scaledEvents(profile);
+    options.events = scaledEvents(profile, event_scale);
     options.emitConditionals = emitConditionals;
     return generateTrace(profile, options);
 }
 
 std::string
-benchmarkTraceCacheKey(const std::string &name, bool emitConditionals)
+benchmarkTraceCacheKey(const std::string &name, bool emitConditionals,
+                       double event_scale)
 {
     const BenchmarkProfile &profile = benchmarkProfile(name);
     const GeneratorOptions defaults;
@@ -247,7 +238,7 @@ benchmarkTraceCacheKey(const std::string &name, bool emitConditionals)
     desc << "gen=" << kTraceGeneratorVersion << '|'
          << "name=" << profile.name << '|'
          << "seed=" << profile.seed << '|'
-         << "events=" << scaledEvents(profile) << '|'
+         << "events=" << scaledEvents(profile, event_scale) << '|'
          << "cond=" << (emitConditionals ? 1 : 0) << '|'
          << "condcap=" << defaults.conditionalCap << '|'
          << "suite=" << static_cast<int>(profile.suite) << '|'

@@ -5,8 +5,8 @@
  * Provides calibrated profiles for all 17 programs of Tables 1 and 2
  * and the benchmark groups of Table 3 (AVG, AVG-OO, AVG-C, AVG-100,
  * AVG-200, AVG-infreq). Default event counts are scaled-down versions
- * of the paper's trace lengths; the IBP_EVENTS environment variable
- * multiplies them (e.g. IBP_EVENTS=2.0 doubles every trace).
+ * of the paper's trace lengths; a run's RunConfig::eventScale
+ * multiplies them (e.g. 2.0 doubles every trace).
  */
 
 #ifndef IBP_SYNTH_BENCHMARK_SUITE_HH
@@ -15,6 +15,10 @@
 #include <string>
 #include <vector>
 
+// Only for the default scale argument below, which callers outside
+// a run (tools, tests) evaluate; the generator itself never reads
+// the environment.
+#include "sim/run_config.hh"
 #include "synth/benchmark_profile.hh"
 #include "synth/program_model.hh"
 #include "trace/trace.hh"
@@ -40,13 +44,14 @@ struct BenchmarkGroups
 
 const BenchmarkGroups &benchmarkGroups();
 
-/** Event-count scale factor from the IBP_EVENTS environment variable
- * (default 1.0, clamped to [0.01, 100]). */
-double eventScale();
-
-/** Generate a benchmark's trace at the scaled default length. */
-Trace generateBenchmarkTrace(const std::string &name,
-                             bool emitConditionals = false);
+/**
+ * Generate a benchmark's trace at its default length times
+ * @p eventScale (default: the environment's, see
+ * RunConfig::fromEnvironment).
+ */
+Trace generateBenchmarkTrace(
+    const std::string &name, bool emitConditionals = false,
+    double eventScale = RunConfig::fromEnvironment(false).eventScale);
 
 /**
  * Version stamp of the synthetic trace generator. Part of every
@@ -59,14 +64,15 @@ constexpr unsigned kTraceGeneratorVersion = 1;
 
 /**
  * Content address of the trace generateBenchmarkTrace(@p name,
- * @p emitConditionals) would produce under the current environment
- * (IBP_EVENTS scale included): `<name>-<16 hex digits>`, an FNV-1a
- * hash of the generator version, every profile field, the scaled
- * event count, the seed and the conditionals flag. Identical
- * configurations collide on purpose - that is the cache hit.
+ * @p emitConditionals, @p eventScale) produces:
+ * `<name>-<16 hex digits>`, an FNV-1a hash of the generator version,
+ * every profile field, the scaled event count, the seed and the
+ * conditionals flag. Identical configurations collide on purpose -
+ * that is the cache hit.
  */
-std::string benchmarkTraceCacheKey(const std::string &name,
-                                   bool emitConditionals = false);
+std::string benchmarkTraceCacheKey(
+    const std::string &name, bool emitConditionals = false,
+    double eventScale = RunConfig::fromEnvironment(false).eventScale);
 
 } // namespace ibp
 

@@ -170,23 +170,5 @@ TEST(RetryTest, BackoffGrowsAndCaps)
     EXPECT_DOUBLE_EQ(policy.backoffFor(5), 0.05);
 }
 
-TEST(RetryTest, EnvOverridesAreClampedAndValidated)
-{
-    setenv("IBP_MAX_ATTEMPTS", "7", 1);
-    setenv("IBP_CELL_DEADLINE", "2.5", 1);
-    RetryPolicy policy = retryPolicyFromEnv();
-    EXPECT_EQ(policy.maxAttempts, 7u);
-    EXPECT_DOUBLE_EQ(policy.cellDeadlineSeconds, 2.5);
-
-    setenv("IBP_MAX_ATTEMPTS", "0", 1); // clamped to >= 1
-    setenv("IBP_CELL_DEADLINE", "garbage", 1);
-    policy = retryPolicyFromEnv();
-    EXPECT_GE(policy.maxAttempts, 1u);
-    EXPECT_DOUBLE_EQ(policy.cellDeadlineSeconds, 0.0);
-
-    unsetenv("IBP_MAX_ATTEMPTS");
-    unsetenv("IBP_CELL_DEADLINE");
-}
-
 } // namespace
 } // namespace ibp

@@ -191,15 +191,13 @@ TEST(FaultInjectorDeathTest, CrashActionAbortsTheProcess)
     EXPECT_DEATH(injector.check("sim", "any", 1), "");
 }
 
-TEST(FaultInjectorTest, GlobalCanBeReconfigured)
+TEST(FaultInjectorTest, RemembersItsSpec)
 {
-    FaultInjector::configureGlobal("sim:1.0");
-    EXPECT_TRUE(FaultInjector::global().armed());
-    EXPECT_THROW(FaultInjector::global().check("sim", "x", 1),
-                 RunException);
-    FaultInjector::configureGlobal("");
-    EXPECT_FALSE(FaultInjector::global().armed());
-    FaultInjector::global().check("sim", "x", 1);
+    // The spec is the injector's wire form (RunConfig::toJson).
+    const std::string spec = "sim:0.25,trace:0.5:permanent,seed=42";
+    EXPECT_EQ(FaultInjector::parse(spec).value().spec(), spec);
+    EXPECT_EQ(FaultInjector().spec(), "");
+    EXPECT_FALSE(FaultInjector().armed());
 }
 
 } // namespace

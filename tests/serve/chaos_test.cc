@@ -11,8 +11,8 @@
  * Crashes are made deterministic without any fault injector: a body
  * that journals one grid and then aborts iff nothing was restored
  * crashes exactly once per job. Hangs use the injector's `hang`
- * action (armed in the parent BEFORE the server forks, so the lanes
- * inherit it). Fork-based tests are skipped under TSan.
+ * action, armed on the request's config: the lane runs the job under
+ * its client's faults. Fork-based tests are skipped under TSan.
  */
 
 #include <gtest/gtest.h>
@@ -82,7 +82,8 @@ crashOnceExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_chaos_crash", "chaos test: crash once mid-sweep",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = chaosColumns();
              const GridResult first =
                  runner.run(columns, context.session());
@@ -105,7 +106,8 @@ cleanExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_chaos_clean", "chaos test: clean concurrent sweep",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = chaosColumns();
              const GridResult grid =
                  runner.run(columns, context.session());
@@ -124,7 +126,8 @@ hangProneExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_chaos_hang", "chaos test: hang-prone sweep",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = chaosColumns();
              const GridResult grid =
                  runner.run(columns, context.session());
@@ -142,7 +145,8 @@ killTargetExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_chaos_kill", "chaos test: external SIGKILL target",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = chaosColumns();
              const GridResult first =
                  runner.run(columns, context.session());
@@ -175,7 +179,6 @@ class ChaosServeTest : public ::testing::Test
     void
     TearDown() override
     {
-        FaultInjector::configureGlobal("");
         unsetenv("IBP_EVENTS");
         std::error_code ec;
         std::filesystem::remove_all(_dir, ec);
@@ -282,7 +285,9 @@ TEST_F(ChaosServeTest, CrashedLaneIsContainedAndJobResumes)
     auto crash_fd = connectDaemon(_socket);
     ASSERT_TRUE(crash_fd.ok());
     ASSERT_TRUE(writeFrame(crash_fd.value(),
-                           makeRunRequest(crash_def.slug, false)
+                           makeRunRequest(crash_def.slug, false,
+                                          RunConfig::fromEnvironment(
+                                              false))
                                .toJson())
                     .ok());
 
@@ -329,26 +334,25 @@ TEST_F(ChaosServeTest, HungCellIsKilledByCellCeilingAndRecorded)
     if (IBP_TSAN)
         GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
     const ExperimentDef &def = hangProneExperiment();
-    // Armed BEFORE the server starts and left armed for the whole
-    // job: lanes fork from the parent - replacements too, at
-    // respawn time - so they all inherit the spec. Every cell hangs,
+    auto server = makeServer(1, /*cell_ceiling=*/1.0);
+
+    // Armed on the request, so every attempt of the job - in
+    // replacement lanes too - runs under it: every cell hangs,
     // immune to cooperative cancellation, on every attempt
     // (probability 1). Only the supervisor's SIGKILL can end it;
     // after poison-threshold many killed starts the journal poisons
     // the cell and the sweep records it as a timeout and moves on.
-    FaultInjector::configureGlobal("sim:1:hang,seed=1");
-    auto server = makeServer(1, /*cell_ceiling=*/1.0);
-
     // Raw protocol on purpose: the high-level client would fall
     // back in-process on trouble, and an in-process run of this
     // experiment under an armed injector would hang the test.
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.faults = FaultInjector::parse("sim:1:hang,seed=1").value();
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    const RunRequest request = makeRunRequest(def.slug, false);
+    const RunRequest request = makeRunRequest(def.slug, false, config);
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
     const Json terminal = readTerminalFrame(fd.value());
     ::close(fd.value());
-    FaultInjector::configureGlobal("");
 
     ASSERT_EQ(terminal.stringOr("type", ""), "artifact");
     // Exit 3: completed, but with (poisoned) failed cells.
@@ -382,7 +386,8 @@ TEST_F(ChaosServeTest, ExternalSigkillOnBusyLaneResumesFromJournal)
     auto server = makeServer(2);
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    const RunRequest request = makeRunRequest(def.slug, false);
+    const RunRequest request = makeRunRequest(
+        def.slug, false, RunConfig::fromEnvironment(false));
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
     auto accepted = readFrame(fd.value());
     ASSERT_TRUE(accepted.ok());

@@ -29,6 +29,7 @@
 #include <unistd.h>
 
 #include "core/btb.hh"
+#include "robust/fault_injection.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -81,7 +82,8 @@ laneDiffExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_lanes_diff", "lanes test: differential",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = laneColumns();
              const GridResult grid =
                  runner.run(columns, context.session());
@@ -100,7 +102,8 @@ gatedLaneExperiment(const char *slug, const std::string *gate)
     return registerExperiment(
         {slug, "lanes test: gated drain/resume",
          [gate](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = laneColumns();
              const GridResult first =
                  runner.run(columns, context.session());
@@ -260,6 +263,57 @@ TEST_F(LaneServeTest, TwoLanesAreBitIdenticalToOneLane)
     EXPECT_EQ(server->stats().lanesForked, 2u);
 }
 
+TEST_F(LaneServeTest, ServedJobRunsTheClientConfigNotTheDaemons)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = laneDiffExperiment();
+    // The daemon - and the lanes it forks - sees none of the
+    // client's knobs: full trace scale, no faults, default retries.
+    unsetenv("IBP_EVENTS");
+    auto server = makeServer(2);
+
+    // The client's config: a small scale, and faults that fail the
+    // idl cell (seed 1) with no retry to clear them.
+    ExperimentOptions options = quietOptions();
+    options.config = RunConfig{};
+    options.config->eventScale = 0.05;
+    options.config->faults =
+        FaultInjector::parse("sim:0.3,seed=1").value();
+    options.config->retry.maxAttempts = 1;
+    const ExperimentRunResult local =
+        runExperimentInProcess(def, options);
+    ASSERT_EQ(local.exitCode, 3);
+    ASSERT_NE(local.artifact, nullptr);
+
+    ServedOutcome outcome;
+    const ExperimentRunResult served = runExperimentViaDaemon(
+        def, options, clientOptions(), &outcome);
+    ASSERT_TRUE(outcome.served) << outcome.fallbackReason;
+    EXPECT_EQ(served.exitCode, 3);
+    ASSERT_NE(served.artifact, nullptr);
+    expectBitIdentical(*served.artifact, *local.artifact);
+    EXPECT_EQ(served.artifact->manifest.eventScale, 0.05);
+
+    const auto failedCells = [](const RunArtifact &artifact) {
+        std::vector<std::string> cells;
+        for (const auto &failure : artifact.metrics.failures()) {
+            cells.push_back(failure.column + "/" + failure.benchmark +
+                            "/" + failure.kind + "/" + failure.error);
+        }
+        return cells;
+    };
+    EXPECT_EQ(failedCells(*local.artifact),
+              std::vector<std::string>{
+                  "btb/idl/transient/injected transient fault at "
+                  "sim/0/btb/idl"});
+    EXPECT_EQ(failedCells(*served.artifact),
+              failedCells(*local.artifact));
+
+    server->requestDrain();
+    server->waitStopped();
+}
+
 TEST_F(LaneServeTest, MultiLaneDrainPersistsBothAndRestartResumes)
 {
     if (IBP_TSAN)
@@ -273,8 +327,10 @@ TEST_F(LaneServeTest, MultiLaneDrainPersistsBothAndRestartResumes)
     auto server = makeServer(2);
     int fds[2] = {-1, -1};
     const RunRequest requests[2] = {
-        makeRunRequest(def_a.slug, false),
-        makeRunRequest(def_b.slug, false),
+        makeRunRequest(def_a.slug, false,
+                       RunConfig::fromEnvironment(false)),
+        makeRunRequest(def_b.slug, false,
+                       RunConfig::fromEnvironment(false)),
     };
     for (int i = 0; i < 2; ++i) {
         auto fd = connectDaemon(_socket);
@@ -320,10 +376,11 @@ TEST_F(LaneServeTest, MultiLaneDrainPersistsBothAndRestartResumes)
     EXPECT_EQ(server->stats().jobsDrained, 2u);
     EXPECT_EQ(server->stats().laneCrashes, 0u);
     EXPECT_TRUE(std::filesystem::exists(_state + "/pending.json"));
-    EXPECT_TRUE(std::filesystem::exists(
-        _state + "/TEST_lanes_gate_a.ckpt"));
-    EXPECT_TRUE(std::filesystem::exists(
-        _state + "/TEST_lanes_gate_b.ckpt"));
+    const std::string journals[2] = {
+        _state + "/" + requests[0].journalStem() + ".ckpt",
+        _state + "/" + requests[1].journalStem() + ".ckpt"};
+    EXPECT_TRUE(std::filesystem::exists(journals[0]));
+    EXPECT_TRUE(std::filesystem::exists(journals[1]));
     server.reset();
 
     // --- Second server: open gates first, then let the restored
@@ -341,10 +398,8 @@ TEST_F(LaneServeTest, MultiLaneDrainPersistsBothAndRestartResumes)
     restarted->requestDrain();
     restarted->waitStopped();
     // Clean completions retire both journals.
-    EXPECT_FALSE(std::filesystem::exists(
-        _state + "/TEST_lanes_gate_a.ckpt"));
-    EXPECT_FALSE(std::filesystem::exists(
-        _state + "/TEST_lanes_gate_b.ckpt"));
+    EXPECT_FALSE(std::filesystem::exists(journals[0]));
+    EXPECT_FALSE(std::filesystem::exists(journals[1]));
 }
 
 TEST_F(LaneServeTest, ClientReceiveDeadlineTurnsSilenceIntoFallback)

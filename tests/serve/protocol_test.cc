@@ -121,7 +121,10 @@ TEST(ServeProtocolTest, MalformedJsonIsTransient)
 
 TEST(ServeProtocolTest, RunRequestRoundTrips)
 {
-    RunRequest request = makeRunRequest("fig02", true);
+    RunConfig config;
+    config.eventScale = 0.25;
+    config.retry.maxAttempts = 5;
+    RunRequest request = makeRunRequest("fig02", true, config);
     request.priority = 2;
     request.rejects = 3;
 
@@ -132,21 +135,23 @@ TEST(ServeProtocolTest, RunRequestRoundTrips)
     EXPECT_TRUE(back.quick);
     EXPECT_EQ(back.priority, 2);
     EXPECT_EQ(back.rejects, 3u);
-    EXPECT_EQ(back.eventScale, request.eventScale);
-    EXPECT_EQ(back.threads, request.threads);
+    EXPECT_EQ(back.config.eventScale, 0.25);
+    EXPECT_EQ(back.config.retry.maxAttempts, 5u);
     EXPECT_EQ(back.gitSha, request.gitSha);
+    EXPECT_EQ(back.signature(), request.signature());
 }
 
 TEST(ServeProtocolTest, SignatureSeparatesQuickFromFull)
 {
-    EXPECT_EQ(makeRunRequest("fig02", false).signature(),
-              makeRunRequest("fig02", false).signature());
-    EXPECT_NE(makeRunRequest("fig02", false).signature(),
-              makeRunRequest("fig02", true).signature());
-    EXPECT_NE(makeRunRequest("fig02", false).signature(),
-              makeRunRequest("fig05", false).signature());
+    const RunConfig config;
+    EXPECT_EQ(makeRunRequest("fig02", false, config).signature(),
+              makeRunRequest("fig02", false, config).signature());
+    EXPECT_NE(makeRunRequest("fig02", false, config).signature(),
+              makeRunRequest("fig02", true, config).signature());
+    EXPECT_NE(makeRunRequest("fig02", false, config).signature(),
+              makeRunRequest("fig05", false, config).signature());
     // Priority and ridden-out rejections must NOT split coalescing.
-    RunRequest a = makeRunRequest("fig02", false);
+    RunRequest a = makeRunRequest("fig02", false, config);
     RunRequest b = a;
     b.priority = 9;
     b.rejects = 4;
@@ -158,6 +163,10 @@ TEST(ServeProtocolTest, RunRequestWithoutSlugIsRejected)
     Json bare = Json::object();
     bare.set("type", "run");
     EXPECT_FALSE(RunRequest::fromJson(bare).ok());
+    // A wrongly typed field is an error, not an escaping exception.
+    Json typed = makeRunRequest("fig02", false, RunConfig()).toJson();
+    typed.set("slug", 7);
+    EXPECT_FALSE(RunRequest::fromJson(typed).ok());
 }
 
 TEST(ServeProtocolTest, SocketPathResolutionOrder)

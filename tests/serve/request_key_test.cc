@@ -2,17 +2,17 @@
  * @file
  * Cache-key completeness tests of the daemon's RunRequest: the
  * coalescing signature must differ whenever ANY artifact-affecting
- * knob differs (slug, quick, event scale, threads, table
- * implementation, fault-injection spec), and only then - two
- * requests that differ in priority, accumulated rejects, or git sha
- * still share one execution. The historical bug this pins down:
- * signature() used to fold in only slug+quick, so a request at
- * IBP_EVENTS=0.05 could be served another client's full-scale cells.
+ * knob differs (slug, quick, and every field of the RunConfig the
+ * job runs under: event scale, fault-injection spec, retry policy),
+ * and only then - two requests that differ in priority, accumulated
+ * rejects, or git sha still share one execution. The historical bug
+ * this pins down: signature() used to fold in only slug+quick, so a
+ * request at IBP_EVENTS=0.05 could be served another client's
+ * full-scale cells. Compatibility is a build question only: the
+ * config travels with the request.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "serve/protocol.hh"
 
@@ -22,15 +22,12 @@ namespace {
 RunRequest
 baseRequest()
 {
-    RunRequest request;
-    request.slug = "fig17";
-    request.quick = true;
+    RunConfig config;
+    config.eventScale = 0.05;
+    RunRequest request = makeRunRequest("fig17", true, config);
     request.priority = 0;
     request.rejects = 0;
-    request.eventScale = 0.05;
-    request.threads = 4;
     request.gitSha = "abc1234";
-    request.faultSpec = "";
     return request;
 }
 
@@ -55,27 +52,39 @@ TEST(RequestKeyTest, EveryArtifactKnobSplitsTheSignature)
     // every counter in the artifact, so requests differing only here
     // must NEVER share a result.
     mutated = baseRequest();
-    mutated.eventScale = 1.0;
+    mutated.config.eventScale = 1.0;
     EXPECT_NE(mutated.signature(), base);
 
     mutated = baseRequest();
-    mutated.threads = 8;
+    mutated.config.faults =
+        FaultInjector::parse("sim:0.5,seed=11").value();
+    EXPECT_NE(mutated.signature(), base);
+
+    // The retry policy decides whether a faulted cell stays failed.
+    mutated = baseRequest();
+    mutated.config.retry.maxAttempts = 1;
     EXPECT_NE(mutated.signature(), base);
 
     mutated = baseRequest();
-    mutated.faultSpec = "sim:0.5,seed=11";
+    mutated.config.retry.cellDeadlineSeconds = 2.0;
+    EXPECT_NE(mutated.signature(), base);
+
+    mutated = baseRequest();
+    mutated.config.retry.poisonThreshold = 5;
     EXPECT_NE(mutated.signature(), base);
 }
 
 TEST(RequestKeyTest, TinyScaleDifferencesStillSplit)
 {
-    // %.17g rendering: any double that compares unequal renders
-    // differently, so near-identical scales cannot alias.
+    // Shortest round-trip rendering: any double that compares
+    // unequal renders differently, so near-identical scales cannot
+    // alias.
     RunRequest a = baseRequest();
     RunRequest b = baseRequest();
-    a.eventScale = 0.1;
-    b.eventScale = 0.1 + 1e-15;
+    a.config.eventScale = 0.1;
+    b.config.eventScale = 0.1 + 1e-15;
     EXPECT_NE(a.signature(), b.signature());
+    EXPECT_NE(a.journalStem(), b.journalStem());
 }
 
 TEST(RequestKeyTest, NonArtifactKnobsStillCoalesce)
@@ -97,71 +106,62 @@ TEST(RequestKeyTest, NonArtifactKnobsStillCoalesce)
     EXPECT_EQ(mutated.signature(), base);
 }
 
-TEST(RequestKeyTest, CompatibilityChecksEveryKnob)
+TEST(RequestKeyTest, OnlyTheBuildIsCompared)
 {
-    const RunRequest server = baseRequest();
-
-    EXPECT_EQ(baseRequest().incompatibilityWith(server), "");
-
+    // A config the server does not share is not a reason to refuse:
+    // the server runs the request's config.
     RunRequest client = baseRequest();
-    client.eventScale = 1.0;
-    EXPECT_NE(client.incompatibilityWith(server).find("event scale"),
-              std::string::npos);
-
-    client = baseRequest();
-    client.threads = 8;
-    EXPECT_NE(client.incompatibilityWith(server).find("thread"),
-              std::string::npos);
-
-    client = baseRequest();
-    client.faultSpec = "serve.io:0.2";
-    EXPECT_NE(
-        client.incompatibilityWith(server).find("fault injection"),
-        std::string::npos);
+    client.config.eventScale = 1.0;
+    client.config.faults = FaultInjector::parse("serve.io:0.2").value();
+    client.config.retry.maxAttempts = 1;
+    EXPECT_EQ(client.incompatibilityWith("abc1234"), "");
 
     client = baseRequest();
     client.gitSha = "def5678";
-    EXPECT_NE(client.incompatibilityWith(server).find("build"),
+    EXPECT_NE(client.incompatibilityWith("abc1234").find("build"),
               std::string::npos);
 }
 
 TEST(RequestKeyTest, UnknownShasAreCompatible)
 {
     RunRequest client = baseRequest();
-    RunRequest server = baseRequest();
     client.gitSha = "unknown";
-    EXPECT_EQ(client.incompatibilityWith(server), "");
+    EXPECT_EQ(client.incompatibilityWith("abc1234"), "");
     client.gitSha = "";
-    EXPECT_EQ(client.incompatibilityWith(server), "");
+    EXPECT_EQ(client.incompatibilityWith("abc1234"), "");
     client.gitSha = "abc1234";
-    server.gitSha = "unknown";
-    EXPECT_EQ(client.incompatibilityWith(server), "");
+    EXPECT_EQ(client.incompatibilityWith("unknown"), "");
+    EXPECT_EQ(client.incompatibilityWith(""), "");
 }
 
-TEST(RequestKeyTest, FaultSpecSurvivesTheWire)
+TEST(RequestKeyTest, ConfigSurvivesTheWire)
 {
     RunRequest request = baseRequest();
-    request.faultSpec = "sim:0.25,seed=7";
+    request.config.faults =
+        FaultInjector::parse("sim:0.25,seed=7").value();
+    request.config.retry.maxAttempts = 1;
+    request.config.retry.cellDeadlineSeconds = 0.5;
     const auto decoded = RunRequest::fromJson(request.toJson());
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().faultSpec, request.faultSpec);
+    EXPECT_EQ(decoded.value().config.faults.spec(), "sim:0.25,seed=7");
+    EXPECT_EQ(decoded.value().config.retry.maxAttempts, 1u);
+    EXPECT_EQ(decoded.value().config.retry.cellDeadlineSeconds, 0.5);
     EXPECT_EQ(decoded.value().signature(), request.signature());
+    EXPECT_EQ(decoded.value().journalStem(), request.journalStem());
 }
 
-TEST(RequestKeyTest, MakeRunRequestSnapshotsFaultInjection)
+TEST(RequestKeyTest, JournalStemsSeparateConfigs)
 {
-    const char *saved = std::getenv("IBP_FAULT_INJECT");
-    const std::string restore = saved ? saved : "";
-
-    setenv("IBP_FAULT_INJECT", "sim:0.5,seed=3", 1);
-    EXPECT_EQ(makeRunRequest("fig02", true).faultSpec,
-              "sim:0.5,seed=3");
-
-    unsetenv("IBP_FAULT_INJECT");
-    EXPECT_EQ(makeRunRequest("fig02", true).faultSpec, "");
-
-    if (saved)
-        setenv("IBP_FAULT_INJECT", restore.c_str(), 1);
+    // Concurrent jobs of one slug under different configs must never
+    // share a checkpoint journal.
+    RunRequest a = baseRequest();
+    RunRequest b = baseRequest();
+    b.config.retry.maxAttempts = 1;
+    EXPECT_NE(a.journalStem(), b.journalStem());
+    EXPECT_EQ(a.journalStem().rfind("fig17-quick-", 0), 0u);
+    b = baseRequest();
+    b.priority = 3;
+    EXPECT_EQ(a.journalStem(), b.journalStem());
 }
 
 } // namespace

@@ -122,7 +122,8 @@ diffExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_serve_diff", "serve test: differential",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = smallColumns();
              const GridResult grid =
                  runner.run(columns, context.session());
@@ -141,7 +142,8 @@ drainExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_serve_drain", "serve test: drain/resume",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto columns = smallColumns();
              const GridResult first =
                  runner.run(columns, context.session());
@@ -177,7 +179,6 @@ class ServeServerTest : public ::testing::Test
         // joins its runner thread.
         g_coalesce_gate.release();
         g_drain_gate.release();
-        FaultInjector::configureGlobal("");
         unsetenv("IBP_EVENTS");
         std::error_code ec;
         std::filesystem::remove_all(_dir, ec);
@@ -345,8 +346,8 @@ TEST_F(ServeServerTest, FullQueueRejectsWithRetryAfter)
 
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    const RunRequest request =
-        makeRunRequest("TEST_serve_triv", false);
+    const RunRequest request = makeRunRequest(
+        "TEST_serve_triv", false, RunConfig::fromEnvironment(false));
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
     auto reply = readFrame(fd.value());
     ASSERT_TRUE(reply.ok());
@@ -369,27 +370,93 @@ TEST_F(ServeServerTest, FullQueueRejectsWithRetryAfter)
     ASSERT_EQ(result.exitCode, 0);
     ASSERT_NE(result.artifact, nullptr);
     EXPECT_FALSE(result.artifact->metrics.hasServe());
+    // The artifact itself says why it was not served, and the
+    // reason survives the JSON round trip.
+    EXPECT_EQ(result.artifact->metrics.serveFallbackReason(),
+              outcome.fallbackReason);
+    const RunArtifact reread =
+        RunArtifact::fromJson(result.artifact->toJson());
+    EXPECT_FALSE(reread.metrics.hasServe());
+    EXPECT_EQ(reread.metrics.serveFallbackReason(),
+              outcome.fallbackReason);
 
     server->requestDrain();
     server->waitStopped();
 }
 
-TEST_F(ServeServerTest, MismatchedConfigurationIsRefused)
+TEST_F(ServeServerTest, OtherBuildIsRefused)
 {
     trivialExperiment();
+    const std::string sha = buildManifest().gitSha;
+    if (sha.empty() || sha == "unknown")
+        GTEST_SKIP() << "this build does not know its git sha";
     auto server = makeServer();
 
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    RunRequest request = makeRunRequest("TEST_serve_triv", false);
-    request.eventScale = request.eventScale * 2.0 + 1.0;
+    RunRequest request = makeRunRequest(
+        "TEST_serve_triv", false, RunConfig::fromEnvironment(false));
+    request.gitSha = sha + "0";
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
     auto reply = readFrame(fd.value());
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(reply.value().stringOr("type", ""), "incompatible");
-    EXPECT_NE(reply.value().stringOr("reason", ""), "");
+    EXPECT_NE(reply.value().stringOr("reason", "").find("build"),
+              std::string::npos);
     ::close(fd.value());
     EXPECT_GE(server->stats().requestsIncompatible, 1u);
+
+    server->requestDrain();
+    server->waitStopped();
+}
+
+TEST_F(ServeServerTest, MalformedRunFramesGetErrorFramesAndServerStaysUp)
+{
+    const ExperimentDef &def = trivialExperiment();
+    auto server = makeServer();
+    const Json valid =
+        makeRunRequest(def.slug, false, RunConfig::fromEnvironment(false))
+            .toJson();
+    const auto withConfig = [&valid](const char *field, Json value) {
+        Json frame = valid;
+        Json config = valid.at("config");
+        config.set(field, std::move(value));
+        frame.set("config", std::move(config));
+        return frame;
+    };
+    Json no_config = Json::object();
+    for (const auto &[key, value] : valid.members()) {
+        if (key != "config")
+            no_config.set(key, value);
+    }
+    const Json hostile[] = {
+        withConfig("fault_inject", "sim:nope"),
+        withConfig("fault_inject", "sim:0.5:often"),
+        withConfig("event_scale", -1.0),
+        withConfig("event_scale", 1e9),
+        withConfig("event_scale", "0.25"),
+        withConfig("max_attempts", 0),
+        no_config,
+    };
+    for (const Json &frame : hostile) {
+        auto fd = connectDaemon(_socket);
+        ASSERT_TRUE(fd.ok());
+        ASSERT_TRUE(writeFrame(fd.value(), frame).ok());
+        auto reply = readFrame(fd.value());
+        ::close(fd.value());
+        ASSERT_TRUE(reply.ok()) << frame.dump();
+        EXPECT_EQ(reply.value().stringOr("type", ""), "error")
+            << frame.dump();
+        EXPECT_NE(reply.value().stringOr("message", ""), "");
+    }
+
+    // Still up: the well-formed request is served.
+    ServedOutcome outcome;
+    const ExperimentRunResult served = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions(), &outcome);
+    EXPECT_TRUE(outcome.served) << outcome.fallbackReason;
+    EXPECT_EQ(served.exitCode, 0);
+    EXPECT_EQ(server->stats().jobsAccepted, 1u);
 
     server->requestDrain();
     server->waitStopped();
@@ -401,8 +468,9 @@ TEST_F(ServeServerTest, UnknownSlugGetsErrorFrame)
 
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    const RunRequest request =
-        makeRunRequest("TEST_no_such_experiment", false);
+    const RunRequest request = makeRunRequest(
+        "TEST_no_such_experiment", false,
+        RunConfig::fromEnvironment(false));
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
     auto reply = readFrame(fd.value());
     ASSERT_TRUE(reply.ok());
@@ -424,13 +492,14 @@ TEST_F(ServeServerTest, InjectedSocketFaultRetriesThenFallsBack)
     // Probability 1 at the client's serve.io site: every
     // conversation attempt dies, so the client must consume its
     // attempts with backoff and then run in-process.
-    FaultInjector::configureGlobal("serve.io:1");
+    ExperimentOptions faulted = quietOptions();
+    faulted.config = RunConfig::fromEnvironment(false);
+    faulted.config->faults = FaultInjector::parse("serve.io:1").value();
     ClientOptions client = clientOptions();
     client.maxAttempts = 2;
     ServedOutcome outcome;
-    const ExperimentRunResult result = runExperimentViaDaemon(
-        def, quietOptions(), client, &outcome);
-    FaultInjector::configureGlobal("");
+    const ExperimentRunResult result =
+        runExperimentViaDaemon(def, faulted, client, &outcome);
 
     EXPECT_FALSE(outcome.served);
     EXPECT_EQ(outcome.attempts, 2u);
@@ -439,7 +508,7 @@ TEST_F(ServeServerTest, InjectedSocketFaultRetriesThenFallsBack)
     ASSERT_NE(result.artifact, nullptr);
     EXPECT_FALSE(result.artifact->metrics.hasServe());
 
-    // With the injector disarmed the same daemon serves again.
+    // Without the faults the same daemon serves again.
     ServedOutcome healthy;
     const ExperimentRunResult served = runExperimentViaDaemon(
         def, quietOptions(), clientOptions(), &healthy);
@@ -505,8 +574,10 @@ TEST_F(ServeServerTest, DrainPersistsPendingAndRestartResumes)
     auto server = makeServer();
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    const RunRequest request =
-        makeRunRequest("TEST_serve_drain", false);
+    const RunRequest request = makeRunRequest(
+        "TEST_serve_drain", false, RunConfig::fromEnvironment(false));
+    const std::string journal =
+        _state + "/" + request.journalStem() + ".ckpt";
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
 
     auto accepted = readFrame(fd.value());
@@ -540,8 +611,7 @@ TEST_F(ServeServerTest, DrainPersistsPendingAndRestartResumes)
     server->waitStopped();
     EXPECT_EQ(server->stats().jobsDrained, 1u);
     EXPECT_TRUE(std::filesystem::exists(_state + "/pending.json"));
-    EXPECT_TRUE(
-        std::filesystem::exists(_state + "/TEST_serve_drain.ckpt"));
+    EXPECT_TRUE(std::filesystem::exists(journal));
     server.reset();
 
     // --- Second server: restore the request, resume the journal. ---
@@ -588,8 +658,7 @@ TEST_F(ServeServerTest, DrainPersistsPendingAndRestartResumes)
     restarted->waitStopped();
     EXPECT_EQ(restarted->stats().jobsCompleted, 1u);
     // A clean completion retires the journal.
-    EXPECT_FALSE(
-        std::filesystem::exists(_state + "/TEST_serve_drain.ckpt"));
+    EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 } // namespace

@@ -123,7 +123,8 @@ shardDiffExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_shard_diff", "shard test: differential",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc", "perl"});
+             SuiteRunner runner({"idl", "gcc", "perl"}, false,
+                                context.config());
              const std::vector<SweepColumn> columns = {
                  btbColumn("btb256", TableSpec::setAssoc(256, 4),
                            true),
@@ -149,7 +150,8 @@ gatedShardExperiment()
     static const ExperimentDef &def = registerExperiment(
         {"TEST_shard_chaos", "shard test: gated mid-shard kill",
          [](ExperimentContext &context) {
-             SuiteRunner runner({"idl", "gcc"});
+             SuiteRunner runner({"idl", "gcc"}, false,
+                                context.config());
              const auto before = countedShardColumns(256);
              const auto after = countedShardColumns(512);
              const GridResult first =
@@ -367,7 +369,8 @@ TEST_F(ShardServeTest, MidShardSigkillNeverResimulatesFinishedCells)
 
     auto fd = connectDaemon(_socket);
     ASSERT_TRUE(fd.ok());
-    const RunRequest request = makeRunRequest(def.slug, false);
+    const RunRequest request = makeRunRequest(
+        def.slug, false, RunConfig::fromEnvironment(false));
     ASSERT_TRUE(writeFrame(fd.value(), request.toJson()).ok());
     auto accepted = readFrame(fd.value());
     ASSERT_TRUE(accepted.ok());

@@ -27,14 +27,8 @@ class FaultToleranceTest : public ::testing::Test
     void SetUp() override
     {
         setenv("IBP_EVENTS", "0.05", 1);
-        FaultInjector::configureGlobal("");
     }
-    void
-    TearDown() override
-    {
-        FaultInjector::configureGlobal("");
-        unsetenv("IBP_EVENTS");
-    }
+    void TearDown() override { unsetenv("IBP_EVENTS"); }
 };
 
 SweepColumn
@@ -51,8 +45,8 @@ fastSession(RunMetrics *metrics = nullptr)
 {
     RunSession session;
     session.metrics = metrics;
-    session.retry.maxAttempts = 8;
-    session.retry.initialBackoffSeconds = 0.0;
+    session.config.retry.maxAttempts = 8;
+    session.config.retry.initialBackoffSeconds = 0.0;
     return session;
 }
 
@@ -66,11 +60,11 @@ TEST_F(FaultToleranceTest, InjectedTransientFaultsAreRetriedAway)
     // Heavy transient faulting: with 8 attempts and per-attempt
     // re-rolls every cell still completes (decisions are a pure
     // hash, so this is deterministic, not flaky).
-    FaultInjector::configureGlobal("sim:0.5,seed=11");
     RunMetrics metrics;
     RunSession session = fastSession(&metrics);
+    session.config.faults =
+        FaultInjector::parse("sim:0.5,seed=11").value();
     const GridResult faulted = runner.run(columns, session);
-    FaultInjector::configureGlobal("");
 
     EXPECT_FALSE(faulted.partial());
     for (const auto &name : runner.benchmarks()) {
@@ -130,12 +124,12 @@ TEST_F(FaultToleranceTest, PermanentFaultsFailOnlyTheirCells)
 TEST_F(FaultToleranceTest, ExhaustedTransientFaultRecordsAttempts)
 {
     SuiteRunner runner({"idl"});
-    FaultInjector::configureGlobal("sim:1.0"); // never clears
     RunMetrics metrics;
     RunSession session = fastSession(&metrics);
-    session.retry.maxAttempts = 3;
+    session.config.faults =
+        FaultInjector::parse("sim:1.0").value(); // never clears
+    session.config.retry.maxAttempts = 3;
     const GridResult grid = runner.run({btbColumn("btb")}, session);
-    FaultInjector::configureGlobal("");
 
     ASSERT_EQ(grid.failures().size(), 1u);
     EXPECT_EQ(grid.failures()[0].attempts, 3u);
@@ -146,9 +140,9 @@ TEST_F(FaultToleranceTest, ExhaustedTransientFaultRecordsAttempts)
 
 TEST_F(FaultToleranceTest, TraceGenerationFailureDegradesSuite)
 {
-    FaultInjector::configureGlobal("trace:1.0:permanent");
-    SuiteRunner runner({"idl", "self"});
-    FaultInjector::configureGlobal("");
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.faults = FaultInjector::parse("trace:1.0:permanent").value();
+    SuiteRunner runner({"idl", "self"}, false, config);
 
     // The names survive but no traces do.
     EXPECT_EQ(runner.benchmarks().size(), 2u);
@@ -324,8 +318,8 @@ TEST_F(FaultToleranceTest, WatchdogCancelsOverDeadlineCells)
 
     RunMetrics metrics;
     RunSession session = fastSession(&metrics);
-    session.retry.maxAttempts = 1;
-    session.retry.cellDeadlineSeconds = 0.05;
+    session.config.retry.maxAttempts = 1;
+    session.config.retry.cellDeadlineSeconds = 0.05;
     const GridResult grid = runner.run(
         {{"slow", []() { return std::make_unique<SlowPredictor>(); }}},
         session);

@@ -41,12 +41,10 @@ class FusedKernelTest : public ::testing::Test
     {
         setenv("IBP_EVENTS", "0.05", 1);
         TraceCache::configureGlobal("");
-        FaultInjector::configureGlobal("");
     }
     void
     TearDown() override
     {
-        FaultInjector::configureGlobal("");
         TraceCache::configureGlobal("");
         unsetenv("IBP_EVENTS");
         unsetenv("IBP_THREADS");
@@ -322,12 +320,11 @@ TEST_F(FusedKernelTest, InjectedFusedFaultFallsBackPerCell)
 
     const GridResult clean = runner.run(columns);
 
-    FaultInjector::configureGlobal("fused:1.0");
     RunMetrics metrics;
     RunSession session;
     session.metrics = &metrics;
+    session.config.faults = FaultInjector::parse("fused:1.0").value();
     const GridResult faulted = runner.run(columns, session);
-    FaultInjector::configureGlobal("");
 
     EXPECT_FALSE(faulted.partial());
     expectSameGrid(runner, columns, faulted, clean);
@@ -359,14 +356,14 @@ TEST_F(FusedKernelTest, SimArmedInjectorForcesPerCellAccounting)
     };
     const GridResult clean = runner.run(columns);
 
-    FaultInjector::configureGlobal("sim:0.5,seed=11");
     RunMetrics metrics;
     RunSession session;
     session.metrics = &metrics;
-    session.retry.maxAttempts = 8;
-    session.retry.initialBackoffSeconds = 0.0;
+    session.config.faults =
+        FaultInjector::parse("sim:0.5,seed=11").value();
+    session.config.retry.maxAttempts = 8;
+    session.config.retry.initialBackoffSeconds = 0.0;
     const GridResult faulted = runner.run(columns, session);
-    FaultInjector::configureGlobal("");
 
     EXPECT_FALSE(faulted.partial());
     expectSameGrid(runner, columns, faulted, clean);
@@ -395,8 +392,8 @@ TEST_F(FusedKernelTest, FactoryErrorInChunkFallsBackAndIsolates)
     RunMetrics metrics;
     RunSession session;
     session.metrics = &metrics;
-    session.retry.maxAttempts = 2;
-    session.retry.initialBackoffSeconds = 0.0;
+    session.config.retry.maxAttempts = 2;
+    session.config.retry.initialBackoffSeconds = 0.0;
     const GridResult grid = runner.run(columns, session);
 
     EXPECT_TRUE(grid.has("good", "idl"));

@@ -46,7 +46,6 @@ class ResultStoreTest : public ::testing::Test
     TearDown() override
     {
         ResultStore::configureGlobal("");
-        FaultInjector::configureGlobal("");
         unsetenv("IBP_RESULT_STORE_VERSION");
         unsetenv("IBP_EVENTS");
         fs::remove_all(_dir);
@@ -279,14 +278,16 @@ TEST_F(ResultStoreTest, ArmedInjectorBypassesTheStore)
         std::distance(fs::directory_iterator(_dir),
                       fs::directory_iterator{});
 
-    // Any armed injector (even at probability zero) must force real
-    // simulation and keep the store untouched: injected faults have
-    // to reach the simulator, and a faulted run must never pollute
-    // the store.
-    FaultInjector::configureGlobal("sim:0.0,seed=1");
+    // Any armed fault site (even at probability zero) must force
+    // real simulation and keep the store untouched: injected faults
+    // have to reach the simulator, and a faulted run must never
+    // pollute the store.
     RunMetrics metrics;
-    const GridResult faulted = runner.run(columns, &metrics);
-    FaultInjector::configureGlobal("");
+    RunSession session;
+    session.metrics = &metrics;
+    session.config.faults =
+        FaultInjector::parse("sim:0.0,seed=1").value();
+    const GridResult faulted = runner.run(columns, session);
 
     EXPECT_FALSE(metrics.hasResultStore());
     EXPECT_TRUE(faulted.has("p3", "idl"));

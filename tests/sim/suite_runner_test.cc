@@ -115,15 +115,6 @@ TEST_F(SuiteRunnerTest, TablesCarryGroupAndBenchmarkRows)
     EXPECT_NEAR(*both.get(0, 0), sum / 9.0, 1e-9);
 }
 
-TEST_F(SuiteRunnerTest, EventScaleEnvIsHonoured)
-{
-    EXPECT_NEAR(eventScale(), 0.05, 1e-12);
-    setenv("IBP_EVENTS", "bogus", 1);
-    EXPECT_EQ(eventScale(), 1.0);
-    setenv("IBP_EVENTS", "5000", 1);
-    EXPECT_EQ(eventScale(), 100.0); // clamped
-}
-
 TEST_F(SuiteRunnerTest, ThreadsEnvIsHonouredAndClamped)
 {
     const char *saved = std::getenv("IBP_THREADS");

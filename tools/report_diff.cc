@@ -209,11 +209,15 @@ main(int argc, char **argv)
         // quietly that only the artifact itself can prove the run
         // went through ibpd.
         if (!fresh.metrics.hasServe()) {
+            const std::string reason =
+                fresh.metrics.serveFallbackReason();
             std::fprintf(stderr,
-                         "--require-served: %s carries no serve "
-                         "telemetry; the run fell back to in-process "
-                         "execution (is ibpd up?)\n",
-                         paths[0].c_str());
+                         "--require-served: %s was not served by "
+                         "ibpd; the run fell back to in-process "
+                         "execution (%s)\n",
+                         paths[0].c_str(),
+                         reason.empty() ? "is ibpd up?"
+                                        : reason.c_str());
             return 1;
         }
     }
