@@ -1,5 +1,7 @@
 #include "common_flags.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -20,7 +22,8 @@ parsePositiveNumber(const std::string_view arg,
     char *end = nullptr;
     const std::string text(value);
     const double parsed = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || parsed < 0.0)
+    if (end == text.c_str() || *end != '\0' || !(parsed >= 0.0) ||
+        !std::isfinite(parsed))
         fatal("invalid value in '%.*s'",
               static_cast<int>(arg.size()), arg.data());
     return parsed;
@@ -83,10 +86,9 @@ parseBenchFlags(int argc, char **argv)
             if (cli.options.checkpointPath.empty())
                 fatal("--checkpoint requires a path");
         } else if (arg.rfind("--retries=", 0) == 0) {
-            config.retry.maxAttempts = static_cast<unsigned>(
-                parsePositiveNumber(arg, arg.substr(10)));
-            if (config.retry.maxAttempts == 0)
-                config.retry.maxAttempts = 1;
+            // Clamped to [1, 100], the range the wire accepts.
+            config.retry.maxAttempts = static_cast<unsigned>(std::clamp(
+                parsePositiveNumber(arg, arg.substr(10)), 1.0, 100.0));
         } else if (arg.rfind("--cell-deadline=", 0) == 0) {
             config.retry.cellDeadlineSeconds =
                 parsePositiveNumber(arg, arg.substr(16));
@@ -123,8 +125,6 @@ parseBenchFlags(int argc, char **argv)
             fatal("unknown option '%s'", argv[i]);
         }
     }
-    if (const std::string invalid = config.invalidity(); !invalid.empty())
-        fatal("invalid run configuration: %s", invalid.c_str());
     return cli;
 }
 

@@ -3,7 +3,7 @@
  * Deterministic fault injection for testing the recovery paths.
  *
  * A fault spec arms probabilistic failures at named sites of the
- * harness. It is part of a run's RunConfig (sim/run_config.hh): the
+ * harness. It is part of a run's RunConfig (robust/run_config.hh): the
  * CLI reads it from IBP_FAULT_INJECT, and a daemon-served job carries
  * its client's spec. Spec grammar (clauses separated by commas):
  *

@@ -1,4 +1,4 @@
-#include "sim/run_config.hh"
+#include "robust/run_config.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -20,13 +20,15 @@ asCount(double value)
                : 0;
 }
 
-/** Count knob @p name, or @p fallback when unset or invalid. */
+/** Count knob @p name read as an integer ("7.5" is 7), or
+ *  @p fallback when unset or outside [1, 100]. */
 unsigned
 countFromEnv(const char *name, unsigned fallback)
 {
     const char *env = std::getenv(name);
-    const unsigned count = env ? asCount(std::atof(env)) : 0;
-    return count != 0 ? count : fallback;
+    const long count = env ? std::atol(env) : 0;
+    return count >= 1 && count <= 100 ? static_cast<unsigned>(count)
+                                      : fallback;
 }
 
 } // namespace
@@ -58,21 +60,6 @@ RunConfig::fromEnvironment(bool quick)
     config.retry.poisonThreshold = countFromEnv(
         "IBP_POISON_THRESHOLD", config.retry.poisonThreshold);
     return config;
-}
-
-std::string
-RunConfig::invalidity() const
-{
-    if (!(eventScale >= 0.01 && eventScale <= 100.0))
-        return "event scale out of [0.01, 100]";
-    if (asCount(retry.maxAttempts) == 0)
-        return "max attempts out of [1, 100]";
-    if (!(retry.cellDeadlineSeconds >= 0.0) ||
-        !std::isfinite(retry.cellDeadlineSeconds))
-        return "cell deadline must be a finite number >= 0";
-    if (asCount(retry.poisonThreshold) == 0)
-        return "poison threshold out of [1, 100]";
-    return "";
 }
 
 Json
@@ -108,9 +95,18 @@ RunConfig::fromJson(const Json &json)
         return RunError::permanent(std::string("run config: ") +
                                    error.what());
     }
-    const std::string invalid = config.invalidity();
-    if (!invalid.empty())
-        return RunError::permanent("run config: " + invalid);
+    const auto invalid = [](const char *why) {
+        return RunError::permanent(std::string("run config: ") + why);
+    };
+    if (!(config.eventScale >= 0.01 && config.eventScale <= 100.0))
+        return invalid("event scale out of [0.01, 100]");
+    if (config.retry.maxAttempts == 0)
+        return invalid("max attempts out of [1, 100]");
+    if (!(config.retry.cellDeadlineSeconds >= 0.0) ||
+        !std::isfinite(config.retry.cellDeadlineSeconds))
+        return invalid("cell deadline must be a finite number >= 0");
+    if (config.retry.poisonThreshold == 0)
+        return invalid("poison threshold out of [1, 100]");
     return config;
 }
 

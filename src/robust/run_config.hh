@@ -17,8 +17,8 @@
  * environment as it is then.
  */
 
-#ifndef IBP_SIM_RUN_CONFIG_HH
-#define IBP_SIM_RUN_CONFIG_HH
+#ifndef IBP_ROBUST_RUN_CONFIG_HH
+#define IBP_ROBUST_RUN_CONFIG_HH
 
 #include <string>
 
@@ -48,9 +48,6 @@ struct RunConfig
      */
     static RunConfig fromEnvironment(bool quick);
 
-    /** "" when every field is in range, else why not. */
-    std::string invalidity() const;
-
     Json toJson() const;
     /** Wire input: a missing field, a bad fault spec or an
      *  out-of-range value is an error, never fatal. */
@@ -63,4 +60,4 @@ unsigned simulationThreads();
 
 } // namespace ibp
 
-#endif // IBP_SIM_RUN_CONFIG_HH
+#endif // IBP_ROBUST_RUN_CONFIG_HH

@@ -29,7 +29,7 @@
 #include <string>
 
 #include "robust/error.hh"
-#include "sim/run_config.hh"
+#include "robust/run_config.hh"
 #include "util/json.hh"
 
 namespace ibp {

@@ -92,13 +92,12 @@ ExperimentContext::ExperimentContext(std::string slug,
                                      std::string title,
                                      const ExperimentOptions &options)
     : _slug(std::move(slug)), _title(std::move(title)),
-      _options(options)
+      _options(options), _config(options.runConfig())
 {
     if (!_options.csvDir.empty())
         ensureDirectory(_options.csvDir, "csv output");
     if (!_options.jsonDir.empty())
         ensureDirectory(_options.jsonDir, "json output");
-    _session.config = _options.runConfig();
 
     if (!_options.checkpointPath.empty()) {
         // The meta binds the journal to this experiment
@@ -107,7 +106,7 @@ ExperimentContext::ExperimentContext(std::string slug,
         CheckpointMeta meta;
         meta.slug = _slug;
         meta.gitSha = buildManifest().gitSha;
-        meta.eventScale = _session.config.eventScale;
+        meta.eventScale = _config.eventScale;
         meta.quick = _options.quick;
         auto journal =
             CheckpointJournal::open(_options.checkpointPath, meta);
@@ -175,7 +174,7 @@ ExperimentContext::buildArtifact(double total_seconds) const
     artifact.manifest = buildManifest();
     artifact.manifest.slug = _slug;
     artifact.manifest.title = _title;
-    artifact.manifest.eventScale = _session.config.eventScale;
+    artifact.manifest.eventScale = _config.eventScale;
     artifact.manifest.threads = simulationThreads();
     artifact.manifest.quick = _options.quick;
     artifact.tables = _tables;

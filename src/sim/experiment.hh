@@ -34,7 +34,7 @@
 #include "report/artifact.hh"
 #include "report/run_metrics.hh"
 #include "robust/checkpoint.hh"
-#include "sim/run_config.hh"
+#include "robust/run_config.hh"
 #include "sim/suite_runner.hh"
 #include "util/format.hh"
 
@@ -100,7 +100,7 @@ class ExperimentContext
     bool quick() const { return _options.quick; }
 
     /** The run's config; bodies build every SuiteRunner from it. */
-    const RunConfig &config() const { return _session.config; }
+    const RunConfig &config() const { return _config; }
 
     /** Print a table (when echoing) and record it for the artifact;
      *  with csvDir, also persist it. */
@@ -117,8 +117,8 @@ class ExperimentContext
 
     /**
      * The run session benches should hand to SuiteRunner::run():
-     * telemetry sink, the run's config, the optional checkpoint
-     * journal, and the serve-layer abort/progress hooks.
+     * telemetry sink, the optional checkpoint journal, and the
+     * serve-layer abort/progress hooks.
      */
     RunSession &session() { return _session; }
 
@@ -134,6 +134,7 @@ class ExperimentContext
     std::string _slug;
     std::string _title;
     ExperimentOptions _options;
+    RunConfig _config;
     unsigned _tableIndex = 0;
     std::vector<ResultTable> _tables;
     std::vector<std::string> _notes;

@@ -293,16 +293,8 @@ GridResult
 SuiteRunner::run(const std::vector<SweepColumn> &columns,
                  RunSession &session) const
 {
-    if (session.config.eventScale != _config.eventScale) {
-        throw RunException(RunError::permanent(
-            "runner traces are at event scale " +
-            std::to_string(_config.eventScale) +
-            " but the run is at " +
-            std::to_string(session.config.eventScale) +
-            "; build the runner from ExperimentContext::config()"));
-    }
-    const RetryPolicy &retry = session.config.retry;
-    const FaultInjector &faults = session.config.faults;
+    const RetryPolicy &retry = _config.retry;
+    const FaultInjector &faults = _config.faults;
     const unsigned grid_id = session.nextGridId++;
     RunMetrics *metrics = session.metrics;
     CheckpointJournal *journal = session.checkpoint;
@@ -379,7 +371,8 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         if (it == trace_keys.end()) {
             it = trace_keys
                      .emplace(name, benchmarkTraceCacheKey(
-                                        name, _emitConditionals))
+                                        name, _emitConditionals,
+                                        _config.eventScale))
                      .first;
         }
         return it->second;
@@ -1149,7 +1142,6 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
 {
     RunSession session;
     session.metrics = metrics;
-    session.config = _config;
     return run(columns, session);
 }
 

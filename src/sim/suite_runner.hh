@@ -38,7 +38,7 @@
 #include "robust/checkpoint.hh"
 #include "robust/retry.hh"
 #include "sim/executor.hh"
-#include "sim/run_config.hh"
+#include "robust/run_config.hh"
 #include "sim/simulator.hh"
 #include "synth/benchmark_suite.hh"
 #include "util/format.hh"
@@ -119,18 +119,15 @@ class GridResult
 
 /**
  * Mutable state shared by the run() calls of one experiment: where
- * telemetry and failures go, the run's config, the optional
- * checkpoint journal, and the grid-id counter that keeps repeated
- * run() calls distinguishable inside the journal.
+ * telemetry and failures go, the optional checkpoint journal, and
+ * the grid-id counter that keeps repeated run() calls
+ * distinguishable inside the journal. The run's config is the
+ * runner's (SuiteRunner::config()).
  */
 struct RunSession
 {
     RunMetrics *metrics = nullptr;
     CheckpointJournal *checkpoint = nullptr;
-    /** The run's config: its retry policy and `sim`/`fused` fault
-     *  sites govern every cell. run() fails a grid whose runner was
-     *  built at another event scale. */
-    RunConfig config = RunConfig::fromEnvironment(false);
     /** Next grid id; run() consumes one per call. */
     unsigned nextGridId = 0;
     /**
@@ -208,9 +205,15 @@ class SuiteRunner
      * @param emitConditionals  include conditional-branch records in
      *                          the generated traces (needed only by
      *                          predictors that consume them);
-     * @param config            sizes the traces and governs their
-     *                          generation (bodies pass
-     *                          ExperimentContext::config()).
+     * @param config            the run's config: it sizes the
+     *                          traces and keys them and the stored
+     *                          cells, and its retry policy and fault
+     *                          sites govern trace generation and
+     *                          every cell of run(). Bodies pass
+     *                          ExperimentContext::config(); the
+     *                          default, the environment's non-quick
+     *                          config, is for harnesses outside a
+     *                          run.
      *
      * Traces are acquired *asynchronously* on the process-wide
      * executor (Executor::global(), sized by simulationThreads()):
@@ -236,16 +239,15 @@ class SuiteRunner
     ~SuiteRunner();
 
     /** The paper's 13-program AVG set (OO + C). */
-    static SuiteRunner
-    avgSuite(bool emitConditionals = false,
-             const RunConfig &config = RunConfig::fromEnvironment(false));
+    static SuiteRunner avgSuite(bool emitConditionals,
+                                const RunConfig &config);
 
     /** All 17 programs. */
-    static SuiteRunner
-    fullSuite(bool emitConditionals = false,
-              const RunConfig &config = RunConfig::fromEnvironment(false));
+    static SuiteRunner fullSuite(bool emitConditionals,
+                                 const RunConfig &config);
 
-    /** The config the traces were acquired under. */
+    /** The run's config: the traces' scale, the cells' retry
+     *  policy and fault sites. */
     const RunConfig &config() const { return _config; }
 
     const std::vector<std::string> &benchmarks() const
@@ -273,17 +275,17 @@ class SuiteRunner
      * Simulate every (column x benchmark) pair, in parallel: each
      * benchmark's pending columns form a chunk that runs as one
      * simulateMany traversal, and a failed chunk falls back to
-     * one-cell chunks with the isolation governed by @p session
-     * (retries, per-cell deadline, checkpoint lookup/append,
-     * telemetry and failure records). Consumes one grid id from the
-     * session.
+     * one-cell chunks with the isolation governed by config()
+     * (retries, per-cell deadline, fault sites) and @p session
+     * (checkpoint lookup/append, telemetry and failure records).
+     * Consumes one grid id from the session.
      */
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunSession &session) const;
 
     /**
-     * Convenience overload: a throwaway session under this runner's
-     * config, no checkpoint, and @p metrics as the sink.
+     * Convenience overload: a throwaway session with no checkpoint
+     * and @p metrics as the sink.
      */
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunMetrics *metrics = nullptr) const;

@@ -18,7 +18,7 @@
 // Only for the default scale argument below, which callers outside
 // a run (tools, tests) evaluate; the generator itself never reads
 // the environment.
-#include "sim/run_config.hh"
+#include "robust/run_config.hh"
 #include "synth/benchmark_profile.hh"
 #include "synth/program_model.hh"
 #include "trace/trace.hh"

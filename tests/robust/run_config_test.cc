@@ -3,17 +3,18 @@
  * Tests of RunConfig, the one value that carries the knobs shaping a
  * run's result: its reading of the environment (quick scale, clamps,
  * garbage), its wire form (round trip, validation of hostile input),
- * and how SuiteRunner honours it (trace scale, cache keys, refusal
- * of a session at another scale).
+ * and how SuiteRunner honours it (trace scale, trace-cache and
+ * result-store keys).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
+#include <filesystem>
 
-#include "core/btb.hh"
-#include "sim/run_config.hh"
+#include "robust/run_config.hh"
+#include "sim/result_store.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 namespace ibp {
@@ -76,6 +77,9 @@ TEST_F(RunConfigTest, RetryKnobsAreClampedAndValidated)
     EXPECT_EQ(policy.maxAttempts, 7u);
     EXPECT_DOUBLE_EQ(policy.cellDeadlineSeconds, 2.5);
     EXPECT_EQ(policy.poisonThreshold, 4u);
+    // Counts read as integers.
+    setenv("IBP_MAX_ATTEMPTS", "7.5", 1);
+    EXPECT_EQ(RunConfig::fromEnvironment(false).retry.maxAttempts, 7u);
 
     // Garbage and out-of-range values keep the defaults.
     setenv("IBP_MAX_ATTEMPTS", "0", 1);
@@ -159,19 +163,41 @@ TEST_F(RunConfigTest, RunnerTracesFollowTheConfigScale)
               benchmarkTraceCacheKey("idl", false, 0.1));
 }
 
-TEST_F(RunConfigTest, RunRefusesASessionAtAnotherScale)
+TEST_F(RunConfigTest, RunnerStoreKeysFollowTheConfigScale)
 {
-    const SuiteRunner runner({"idl"}, false, scaled(0.05));
+    // Two runners at different scales share one store with the
+    // environment's scale unset: each must key its cells by its own
+    // trace scale, so the second runner misses every cell the first
+    // one stored.
+    const std::string dir =
+        testing::TempDir() + "/ibp_run_config_store_test";
+    std::filesystem::remove_all(dir);
+    ResultStore::configureGlobal(dir);
     const std::vector<SweepColumn> columns = {
-        {"btb", [] {
-             return std::make_unique<BtbPredictor>(
-                 TableSpec::unconstrained(), true);
-         }}};
-    RunSession session;
-    session.config = scaled(0.1);
-    EXPECT_THROW(runner.run(columns, session), RunException);
-    session.config = runner.config();
-    EXPECT_TRUE(runner.run(columns, session).has("btb", "idl"));
+        btbColumn("btb", TableSpec::setAssoc(64, 2), true)};
+    const auto storeStats = [&](double scale) {
+        const SuiteRunner runner({"idl", "gcc"}, false, scaled(scale));
+        RunMetrics metrics;
+        const GridResult grid = runner.run(columns, &metrics);
+        EXPECT_EQ(grid.presentCount("btb", {"idl", "gcc"}), 2u);
+        return metrics.resultStore();
+    };
+    EXPECT_EQ(storeStats(0.05).stores, 2u);
+    const ResultStoreStats other = storeStats(0.1);
+    EXPECT_EQ(other.hits, 0u);
+    EXPECT_EQ(other.misses, 2u);
+    EXPECT_EQ(storeStats(0.05).hits, 2u);
+
+    const ResultStore store(dir);
+    for (const char *name : {"idl", "gcc"}) {
+        const std::string key = ResultStore::cellKey(
+            benchmarkTraceCacheKey(name, false, 0.05),
+            columns[0].specHash);
+        EXPECT_EQ(store.load(key).status, ResultStore::LoadStatus::Hit)
+            << name;
+    }
+    ResultStore::configureGlobal("");
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -40,13 +40,23 @@ btbColumn(const std::string &label)
             }};
 }
 
+/** The environment's config with @p faults armed, eight attempts
+ *  per cell and no backoff. */
+RunConfig
+fastConfig(const char *faults = "")
+{
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.faults = FaultInjector::parse(faults).value();
+    config.retry.maxAttempts = 8;
+    config.retry.initialBackoffSeconds = 0.0;
+    return config;
+}
+
 RunSession
-fastSession(RunMetrics *metrics = nullptr)
+sessionWith(RunMetrics *metrics)
 {
     RunSession session;
     session.metrics = metrics;
-    session.config.retry.maxAttempts = 8;
-    session.config.retry.initialBackoffSeconds = 0.0;
     return session;
 }
 
@@ -60,11 +70,10 @@ TEST_F(FaultToleranceTest, InjectedTransientFaultsAreRetriedAway)
     // Heavy transient faulting: with 8 attempts and per-attempt
     // re-rolls every cell still completes (decisions are a pure
     // hash, so this is deterministic, not flaky).
+    const SuiteRunner faulted_runner(
+        {"idl", "self"}, false, fastConfig("sim:0.5,seed=11"));
     RunMetrics metrics;
-    RunSession session = fastSession(&metrics);
-    session.config.faults =
-        FaultInjector::parse("sim:0.5,seed=11").value();
-    const GridResult faulted = runner.run(columns, session);
+    const GridResult faulted = faulted_runner.run(columns, &metrics);
 
     EXPECT_FALSE(faulted.partial());
     for (const auto &name : runner.benchmarks()) {
@@ -90,7 +99,7 @@ TEST_F(FaultToleranceTest, PermanentFaultsFailOnlyTheirCells)
          }},
     };
     RunMetrics metrics;
-    RunSession session = fastSession(&metrics);
+    RunSession session = sessionWith(&metrics);
     const GridResult grid = runner.run(columns, session);
 
     EXPECT_TRUE(grid.partial());
@@ -123,13 +132,11 @@ TEST_F(FaultToleranceTest, PermanentFaultsFailOnlyTheirCells)
 
 TEST_F(FaultToleranceTest, ExhaustedTransientFaultRecordsAttempts)
 {
-    SuiteRunner runner({"idl"});
+    RunConfig config = fastConfig("sim:1.0"); // never clears
+    config.retry.maxAttempts = 3;
+    SuiteRunner runner({"idl"}, false, config);
     RunMetrics metrics;
-    RunSession session = fastSession(&metrics);
-    session.config.faults =
-        FaultInjector::parse("sim:1.0").value(); // never clears
-    session.config.retry.maxAttempts = 3;
-    const GridResult grid = runner.run({btbColumn("btb")}, session);
+    const GridResult grid = runner.run({btbColumn("btb")}, &metrics);
 
     ASSERT_EQ(grid.failures().size(), 1u);
     EXPECT_EQ(grid.failures()[0].attempts, 3u);
@@ -149,7 +156,7 @@ TEST_F(FaultToleranceTest, TraceGenerationFailureDegradesSuite)
     EXPECT_EQ(runner.failedBenchmarks().size(), 2u);
 
     RunMetrics metrics;
-    RunSession session = fastSession(&metrics);
+    RunSession session = sessionWith(&metrics);
     const GridResult grid = runner.run({btbColumn("btb")}, session);
     EXPECT_TRUE(grid.partial());
     EXPECT_EQ(grid.failures().size(), 2u);
@@ -177,7 +184,7 @@ TEST_F(FaultToleranceTest, CheckpointResumeReproducesBitForBit)
         auto journal = CheckpointJournal::open(path, meta);
         ASSERT_TRUE(journal.ok());
         RunMetrics metrics;
-        RunSession session = fastSession(&metrics);
+        RunSession session = sessionWith(&metrics);
         session.checkpoint = journal.value().get();
         // Two grids with identical labels, like fig11's row sweeps.
         first = runner.run(columns, session);
@@ -192,7 +199,7 @@ TEST_F(FaultToleranceTest, CheckpointResumeReproducesBitForBit)
         ASSERT_TRUE(journal.ok());
         EXPECT_EQ(journal.value()->restoredCells(), 8u);
         RunMetrics metrics;
-        RunSession session = fastSession(&metrics);
+        RunSession session = sessionWith(&metrics);
         session.checkpoint = journal.value().get();
         const GridResult resumed = runner.run(columns, session);
         EXPECT_EQ(metrics.cellCount(), 0u);
@@ -233,7 +240,7 @@ TEST_F(FaultToleranceTest, PartialCheckpointOnlySkipsJournalledCells)
     auto journal = CheckpointJournal::open(path, meta);
     ASSERT_TRUE(journal.ok());
     RunMetrics metrics;
-    RunSession session = fastSession(&metrics);
+    RunSession session = sessionWith(&metrics);
     session.checkpoint = journal.value().get();
     const GridResult grid = runner.run(columns, session);
     EXPECT_EQ(metrics.cellCount(), 1u); // only "self" simulated
@@ -312,17 +319,15 @@ TEST_F(FaultToleranceTest, WatchdogCancelsOverDeadlineCells)
         std::uint64_t tableOccupancy() const override { return 0; }
     };
 
-    SuiteRunner runner({"idl"});
+    RunConfig config = fastConfig();
+    config.retry.maxAttempts = 1;
+    config.retry.cellDeadlineSeconds = 0.05;
+    SuiteRunner runner({"idl"}, false, config);
     if (runner.trace("idl").countPredictedIndirect() < 2000)
         GTEST_SKIP() << "trace too small to outlast the watchdog";
 
-    RunMetrics metrics;
-    RunSession session = fastSession(&metrics);
-    session.config.retry.maxAttempts = 1;
-    session.config.retry.cellDeadlineSeconds = 0.05;
     const GridResult grid = runner.run(
-        {{"slow", []() { return std::make_unique<SlowPredictor>(); }}},
-        session);
+        {{"slow", []() { return std::make_unique<SlowPredictor>(); }}});
     ASSERT_EQ(grid.failures().size(), 1u);
     EXPECT_EQ(grid.failures()[0].kind, ErrorKind::Timeout);
 }

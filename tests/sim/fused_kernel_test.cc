@@ -320,11 +320,11 @@ TEST_F(FusedKernelTest, InjectedFusedFaultFallsBackPerCell)
 
     const GridResult clean = runner.run(columns);
 
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.faults = FaultInjector::parse("fused:1.0").value();
+    const SuiteRunner faulted_runner({"idl", "self"}, false, config);
     RunMetrics metrics;
-    RunSession session;
-    session.metrics = &metrics;
-    session.config.faults = FaultInjector::parse("fused:1.0").value();
-    const GridResult faulted = runner.run(columns, session);
+    const GridResult faulted = faulted_runner.run(columns, &metrics);
 
     EXPECT_FALSE(faulted.partial());
     expectSameGrid(runner, columns, faulted, clean);
@@ -356,14 +356,13 @@ TEST_F(FusedKernelTest, SimArmedInjectorForcesPerCellAccounting)
     };
     const GridResult clean = runner.run(columns);
 
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.faults = FaultInjector::parse("sim:0.5,seed=11").value();
+    config.retry.maxAttempts = 8;
+    config.retry.initialBackoffSeconds = 0.0;
+    const SuiteRunner faulted_runner({"idl", "self"}, false, config);
     RunMetrics metrics;
-    RunSession session;
-    session.metrics = &metrics;
-    session.config.faults =
-        FaultInjector::parse("sim:0.5,seed=11").value();
-    session.config.retry.maxAttempts = 8;
-    session.config.retry.initialBackoffSeconds = 0.0;
-    const GridResult faulted = runner.run(columns, session);
+    const GridResult faulted = faulted_runner.run(columns, &metrics);
 
     EXPECT_FALSE(faulted.partial());
     expectSameGrid(runner, columns, faulted, clean);
@@ -380,7 +379,10 @@ TEST_F(FusedKernelTest, FactoryErrorInChunkFallsBackAndIsolates)
     // can't build the member set), but one-cell isolation must
     // still complete every healthy cell and record exactly the bad
     // column's failures.
-    SuiteRunner runner({"idl"});
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.retry.maxAttempts = 2;
+    config.retry.initialBackoffSeconds = 0.0;
+    SuiteRunner runner({"idl"}, false, config);
     const std::vector<SweepColumn> columns = {
         {"good", []() { return makePredictorFromSpec("btb"); }},
         {"bad",
@@ -390,11 +392,7 @@ TEST_F(FusedKernelTest, FactoryErrorInChunkFallsBackAndIsolates)
          }},
     };
     RunMetrics metrics;
-    RunSession session;
-    session.metrics = &metrics;
-    session.config.retry.maxAttempts = 2;
-    session.config.retry.initialBackoffSeconds = 0.0;
-    const GridResult grid = runner.run(columns, session);
+    const GridResult grid = runner.run(columns, &metrics);
 
     EXPECT_TRUE(grid.has("good", "idl"));
     EXPECT_FALSE(grid.has("bad", "idl"));

@@ -282,12 +282,11 @@ TEST_F(ResultStoreTest, ArmedInjectorBypassesTheStore)
     // real simulation and keep the store untouched: injected faults
     // have to reach the simulator, and a faulted run must never
     // pollute the store.
+    RunConfig config = RunConfig::fromEnvironment(false);
+    config.faults = FaultInjector::parse("sim:0.0,seed=1").value();
+    const SuiteRunner faulted_runner({"idl"}, false, config);
     RunMetrics metrics;
-    RunSession session;
-    session.metrics = &metrics;
-    session.config.faults =
-        FaultInjector::parse("sim:0.0,seed=1").value();
-    const GridResult faulted = runner.run(columns, session);
+    const GridResult faulted = faulted_runner.run(columns, &metrics);
 
     EXPECT_FALSE(metrics.hasResultStore());
     EXPECT_TRUE(faulted.has("p3", "idl"));

@@ -16,7 +16,8 @@ using namespace ibp;
 int
 main()
 {
-    SuiteRunner runner = SuiteRunner::avgSuite();
+    SuiteRunner runner =
+        SuiteRunner::avgSuite(false, RunConfig::fromEnvironment(false));
 
     // 1. Path-length sweep, unconstrained full precision (Figure 9).
     {
