@@ -70,7 +70,7 @@ ablMetapredictionExperiment()
                  }});
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.groupTable(
                 "Metaprediction variants (hybrid p=" +
                     std::to_string(long_p) + "." +

@@ -99,7 +99,7 @@ ablVariationsExperiment()
             };
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.groupTable(
                 "Rejected variants, p=" + std::to_string(p) +
                     ", unconstrained (misprediction %)",

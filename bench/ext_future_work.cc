@@ -18,10 +18,63 @@
 #include "core/shared_hybrid.hh"
 #include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
+#include "trace/trace_block.hh"
 
 #include "suites.hh"
 
 using namespace ibp;
+
+namespace {
+
+/** Next-branch predictions over one trace: every record but the last
+ *  predicts its target and the record after it. */
+struct NextBranchCounts
+{
+    std::uint64_t predictions = 0;
+    std::uint64_t targetHits = 0;
+    std::uint64_t jointHits = 0;
+};
+
+/** One walk over @p trace with a predictor per path length. */
+std::vector<NextBranchCounts>
+countNextBranchHits(const Trace &trace,
+                    const std::vector<unsigned> &path_lengths)
+{
+    std::vector<NextBranchPredictor> predictors;
+    predictors.reserve(path_lengths.size());
+    for (const unsigned p : path_lengths)
+        predictors.emplace_back(p);
+    std::vector<NextBranchCounts> counts(path_lengths.size());
+    // The previous record waits for its successor, which may sit in
+    // the next block.
+    bool pending = false;
+    Addr pc = 0, target = 0;
+    TraceBlockCursor cursor(trace);
+    TraceBlock block;
+    while (cursor.next(block)) {
+        for (std::size_t i = 0; i < block.count; ++i) {
+            const Addr next_pc = block.pc[i];
+            for (std::size_t k = 0; pending && k < predictors.size();
+                 ++k) {
+                const NextBranchPrediction guess =
+                    predictors[k].predict(pc);
+                ++counts[k].predictions;
+                if (guess.valid && guess.target == target) {
+                    ++counts[k].targetHits;
+                    if (guess.nextPc == next_pc)
+                        ++counts[k].jointHits;
+                }
+                predictors[k].update(pc, target, next_pc);
+            }
+            pending = true;
+            pc = next_pc;
+            target = block.target[i];
+        }
+    }
+    return counts;
+}
+
+} // namespace
 
 const ibp::ExperimentDef &
 extFutureWorkExperiment()
@@ -85,7 +138,7 @@ extFutureWorkExperiment()
             };
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.groupTable(
                 "Future-work hybrids at " + std::to_string(total) +
                     " total entries (misprediction %)",
@@ -103,30 +156,31 @@ extFutureWorkExperiment()
                 "p");
             next_table.addColumn("target-hit%");
             next_table.addColumn("joint-hit%");
-            for (unsigned p : {1u, 3u, 6u}) {
+            const std::vector<unsigned> path_lengths = {1, 3, 6};
+            // counts[benchmark][p]: each trace walked once, on the
+            // executor, for all three path lengths.
+            std::vector<std::vector<NextBranchCounts>> counts(
+                runner.benchmarks().size());
+            runner.forEachTrace(
+                [&](std::size_t index, const Trace &trace) {
+                    counts[index] =
+                        countNextBranchHits(trace, path_lengths);
+                });
+            for (std::size_t i = 0; i < path_lengths.size(); ++i) {
+                // Summed in benchmark order; integer counts make the
+                // sums exact.
                 double target_hits = 0, joint_hits = 0, total_b = 0;
-                for (const auto &name : runner.benchmarks()) {
-                    const Trace &trace = runner.trace(name);
-                    NextBranchPredictor predictor(p);
-                    const auto &records = trace.records();
-                    for (std::size_t i = 0; i + 1 < records.size();
-                         ++i) {
-                        const auto &record = records[i];
-                        const auto &next = records[i + 1];
-                        const NextBranchPrediction guess =
-                            predictor.predict(record.pc);
-                        total_b += 1;
-                        if (guess.valid &&
-                            guess.target == record.target) {
-                            target_hits += 1;
-                            if (guess.nextPc == next.pc)
-                                joint_hits += 1;
-                        }
-                        predictor.update(record.pc, record.target,
-                                         next.pc);
-                    }
+                for (const auto &per_benchmark : counts) {
+                    if (per_benchmark.empty())
+                        continue;
+                    target_hits +=
+                        static_cast<double>(per_benchmark[i].targetHits);
+                    joint_hits +=
+                        static_cast<double>(per_benchmark[i].jointHits);
+                    total_b +=
+                        static_cast<double>(per_benchmark[i].predictions);
                 }
-                const std::string row = std::to_string(p);
+                const std::string row = std::to_string(path_lengths[i]);
                 next_table.set(row, "target-hit%",
                                100.0 * target_hits / total_b);
                 next_table.set(row, "joint-hit%",

@@ -89,7 +89,7 @@ extRelatedWorkExperiment()
             };
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.benchmarkTable(
                 "Related-work predictors at ~" +
                     std::to_string(budget) +

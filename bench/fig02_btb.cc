@@ -36,7 +36,7 @@ fig02Experiment()
             };
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.benchmarkTable(
                 "Figure 2: unconstrained BTB misprediction rates (%)",
                 grid, columns));

@@ -41,7 +41,7 @@ fig05Experiment()
             }
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.groupTable(
                 "Figure 5: misprediction (%) vs history sharing s "
                 "(p=8, per-address tables)",

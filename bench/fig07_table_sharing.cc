@@ -43,7 +43,7 @@ fig07Experiment()
             }
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.groupTable(
                 "Figure 7: misprediction (%) vs table sharing h "
                 "(p=8, global history)",

@@ -40,7 +40,7 @@ fig09Experiment()
             }
 
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
             context.emit(runner.groupTable(
                 "Figure 9: misprediction (%) vs path length "
                 "(global history, per-address tables)",

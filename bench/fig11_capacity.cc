@@ -45,8 +45,11 @@ fig11Experiment()
             for (unsigned p : path_lengths)
                 table.addColumn("p=" + std::to_string(p));
 
+            // One call for every size: each benchmark's trace is
+            // walked once for the whole table.
+            std::vector<std::vector<SweepColumn>> grids;
             for (std::uint64_t size : sizes) {
-                std::vector<SweepColumn> columns;
+                std::vector<SweepColumn> &columns = grids.emplace_back();
                 for (unsigned p : path_lengths) {
                     columns.push_back(
                         {"p=" + std::to_string(p), [p, size]() {
@@ -55,12 +58,13 @@ fig11Experiment()
                                  p, TableSpec::fullyAssoc(size)));
                          }});
                 }
-                const GridResult grid =
-                    runner.run(columns, context.session());
-                const std::string row = std::to_string(size);
-                for (const auto &column : columns) {
-                    table.set(row, column.label,
-                              grid.average(column.label, avg));
+            }
+            const std::vector<GridResult> results =
+                runner.run(grids, context.session());
+            for (std::size_t row = 0; row < sizes.size(); ++row) {
+                for (const auto &column : grids[row]) {
+                    table.set(std::to_string(sizes[row]), column.label,
+                              results[row].average(column.label, avg));
                 }
             }
             context.emit(table);

@@ -50,8 +50,13 @@ fig16Experiment()
                 for (unsigned p : path_lengths)
                     table.addColumn("p=" + std::to_string(p));
 
+                // One call per organisation, fusing its sizes and
+                // path lengths; organisations stay apart, so a
+                // traversal never holds two equal-size tables.
+                std::vector<std::vector<SweepColumn>> grids;
                 for (std::uint64_t size : sizes) {
-                    std::vector<SweepColumn> columns;
+                    std::vector<SweepColumn> &columns =
+                        grids.emplace_back();
                     for (unsigned p : path_lengths) {
                         columns.push_back(
                             {"p=" + std::to_string(p),
@@ -66,12 +71,14 @@ fig16Experiment()
                                      paperTwoLevel(p, spec));
                              }});
                     }
-                    const GridResult grid =
-                        runner.run(columns, context.session());
-                    const std::string row = std::to_string(size);
-                    for (const auto &column : columns) {
-                        table.set(row, column.label,
-                                  grid.average(column.label, avg));
+                }
+                const std::vector<GridResult> results =
+                    runner.run(grids, context.session());
+                for (std::size_t row = 0; row < sizes.size(); ++row) {
+                    for (const auto &column : grids[row]) {
+                        table.set(
+                            std::to_string(sizes[row]), column.label,
+                            results[row].average(column.label, avg));
                     }
                 }
                 context.emit(table);

@@ -47,6 +47,12 @@ fig17Experiment()
                 for (unsigned p2 = 0; p2 <= max_p; ++p2)
                     table.addColumn(std::to_string(p2));
 
+                // One call per row. Fusing the rows would dedupe
+                // equal predictors across rows, which helps a
+                // one-lane served job far more than a sharded one
+                // (each shard simulates its own partition), and the
+                // shard fan-out would miss its speedup floors. That
+                // fusion waits until shards merge their store reads.
                 for (unsigned p1 = 0; p1 <= max_p; ++p1) {
                     std::vector<SweepColumn> columns;
                     for (unsigned p2 = 0; p2 <= max_p; ++p2) {
@@ -65,7 +71,7 @@ fig17Experiment()
                         }
                     }
                     const GridResult grid =
-                        runner.run(columns, context.session());
+                        runner.run({columns}, context.session()).front();
                     const std::string row = std::to_string(p1);
                     for (const auto &column : columns) {
                         table.set(row, column.label,

@@ -24,6 +24,7 @@
 #include "core/factory.hh"
 #include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
+#include "trace/trace_block.hh"
 
 #include "suites.hh"
 
@@ -37,13 +38,18 @@ measuredConditionalMiss(const Trace &trace)
 {
     GsharePredictor gshare(12, 4096);
     std::uint64_t branches = 0, misses = 0;
-    for (const auto &record : trace) {
-        if (record.kind != BranchKind::Conditional)
-            continue;
-        ++branches;
-        if (gshare.predictTaken(record.pc) != record.taken)
-            ++misses;
-        gshare.update(record.pc, record.taken);
+    TraceBlockCursor cursor(trace);
+    TraceBlock block;
+    while (cursor.next(block)) {
+        for (std::size_t i = 0; i < block.count; ++i) {
+            if (branchMetaKind(block.meta[i]) != BranchKind::Conditional)
+                continue;
+            const bool taken = branchMetaTaken(block.meta[i]);
+            ++branches;
+            if (gshare.predictTaken(block.pc[i]) != taken)
+                ++misses;
+            gshare.update(block.pc[i], taken);
+        }
     }
     return branches == 0 ? 0.0
                          : static_cast<double>(misses) /
@@ -85,7 +91,13 @@ introOverheadExperiment()
                  }},
             };
             const GridResult grid =
-                runner.run(columns, context.session());
+                runner.run({columns}, context.session()).front();
+            // The gshare walks run on the executor, one per trace.
+            std::vector<double> gshare_miss(runner.benchmarks().size());
+            runner.forEachTrace(
+                [&](std::size_t index, const Trace &trace) {
+                    gshare_miss[index] = measuredConditionalMiss(trace);
+                });
 
             ResultTable table(
                 "Share of branch mispredictions caused by indirect "
@@ -96,14 +108,13 @@ introOverheadExperiment()
             for (const auto &column : columns)
                 table.addColumn(column.label);
 
-            for (const auto &name : runner.benchmarks()) {
+            for (std::size_t b = 0; b < runner.benchmarks().size(); ++b) {
+                const std::string &name = runner.benchmarks()[b];
                 const double ratio =
                     benchmarkProfile(name).condPerIndirect;
                 const unsigned row = table.addRow(name);
                 table.set(row, 0, ratio);
-                table.set(row, 1,
-                          100.0 * measuredConditionalMiss(
-                                      runner.trace(name)));
+                table.set(row, 1, 100.0 * gshare_miss[b]);
                 for (std::size_t c = 0; c < columns.size(); ++c) {
                     const double indirect_miss =
                         grid.get(columns[c].label, name) / 100.0;

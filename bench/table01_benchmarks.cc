@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "sim/experiment.hh"
+#include "sim/suite_runner.hh"
 #include "synth/benchmark_suite.hh"
 #include "trace/trace_stats.hh"
 
@@ -36,10 +37,35 @@ table01Experiment()
                 table.addColumn(label);
             }
 
-            for (const auto &profile : benchmarkSuite()) {
-                const Trace trace = generateBenchmarkTrace(
-                    profile.name, true, context.config().eventScale);
-                const TraceStats stats = computeTraceStats(trace);
+            // The conditional traces come through a runner (and so
+            // through the trace cache), and are characterised on the
+            // executor as they land.
+            std::vector<std::string> names;
+            for (const auto &profile : benchmarkSuite())
+                names.push_back(profile.name);
+            const SuiteRunner runner(names, true, context.config());
+            std::vector<TraceStats> all_stats(names.size());
+            runner.forEachTrace(
+                [&](std::size_t index, const Trace &trace) {
+                    all_stats[index] = computeTraceStats(trace);
+                },
+                &context.metrics());
+
+            for (std::size_t b = 0; b < names.size(); ++b) {
+                const BenchmarkProfile &profile = benchmarkSuite()[b];
+                const auto failed =
+                    runner.failedBenchmarks().find(profile.name);
+                if (failed != runner.failedBenchmarks().end()) {
+                    // A trace that could not be obtained leaves its
+                    // row blank and the run partial.
+                    const RunError &error = failed->second;
+                    context.metrics().recordFailure(FailureRecord{
+                        "trace", profile.name, error.describe(),
+                        errorKindName(error.kind), error.attempts});
+                    table.addRow(profile.name);
+                    continue;
+                }
+                const TraceStats &stats = all_stats[b];
                 // No simulation here; record the trace itself as
                 // one telemetry cell so the artifact still carries
                 // per-benchmark branch counts.

@@ -42,8 +42,10 @@ table05Experiment()
             table.addRow("Concat");
             table.addRow("Xor-Concat");
 
+            // One call for every path length.
+            std::vector<std::vector<SweepColumn>> grids;
             for (unsigned p = 0; p <= max_p; ++p) {
-                std::vector<SweepColumn> columns;
+                std::vector<SweepColumn> &columns = grids.emplace_back();
                 for (const KeyMix mix :
                      {KeyMix::Xor, KeyMix::Concat}) {
                     columns.push_back(
@@ -55,8 +57,11 @@ table05Experiment()
                                  TwoLevelPredictor>(config);
                          }});
                 }
-                const GridResult grid =
-                    runner.run(columns, context.session());
+            }
+            const std::vector<GridResult> results =
+                runner.run(grids, context.session());
+            for (unsigned p = 0; p <= max_p; ++p) {
+                const GridResult &grid = results[p];
                 const double xor_rate = grid.average("xor", avg);
                 const double concat_rate =
                     grid.average("concat", avg);

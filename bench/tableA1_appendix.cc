@@ -50,8 +50,10 @@ tableA1Experiment()
             if (context.quick())
                 sizes = {1024};
 
+            // One call for every size.
+            std::vector<std::vector<SweepColumn>> grids;
             for (const std::uint64_t size : sizes) {
-                std::vector<SweepColumn> columns;
+                std::vector<SweepColumn> &columns = grids.emplace_back();
                 columns.push_back({"btb-fa", [size]() {
                                        return std::make_unique<
                                            BtbPredictor>(
@@ -106,14 +108,15 @@ tableA1Experiment()
                                  long_p, short_p, spec));
                          }});
                 }
-
-                const GridResult grid =
-                    runner.run(columns, context.session());
+            }
+            const std::vector<GridResult> results =
+                runner.run(grids, context.session());
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
                 context.emit(runner.benchmarkTable(
-                    "Table A-1 (size " + std::to_string(size) +
+                    "Table A-1 (size " + std::to_string(sizes[i]) +
                         "): misprediction (%), Table A-2 path "
                         "lengths",
-                    grid, columns));
+                    results[i], grids[i]));
             }
             context.note(
                 "Paper anchors at 1K: AVG btb 24.93, tagless 11.74, "

@@ -1,5 +1,6 @@
 #include "robust/atomic_file.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +24,15 @@ writeFileAtomic(const std::string &path, std::string_view contents)
         }
     }
 
-    const std::string temp = path + ".tmp";
+    // A temp name of its own per writer (pid + per-process counter):
+    // concurrent writers of one path - two daemon lanes storing the
+    // same cache key, two threads of one process - must never share,
+    // truncate or rename each other's temp file. The last rename wins
+    // and every reader sees one writer's whole content.
+    static std::atomic<unsigned long> counter{0};
+    const std::string temp =
+        path + ".tmp." + std::to_string(::getpid()) + "." +
+        std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
     std::FILE *file = std::fopen(temp.c_str(), "wb");
     if (!file) {
         return RunError::permanent("cannot open '" + temp +

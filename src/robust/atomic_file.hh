@@ -9,7 +9,9 @@
  * filesystem, so the final rename is atomic), is flushed and fsynced,
  * then renamed over the target. Readers either see the old file or
  * the complete new one - a crash mid-write can never leave a
- * truncated file behind.
+ * truncated file behind. Each write uses its own temp name
+ * (`<path>.tmp.<pid>.<n>`), so concurrent writers of one path, in
+ * one process or several, never interfere: the last rename wins.
  */
 
 #ifndef IBP_ROBUST_ATOMIC_FILE_HH

@@ -21,9 +21,9 @@
  * threshold — a cell that keeps killing the process is recorded as
  * a FailedCell instead of crash-looping forever (docs/ROBUSTNESS.md).
  *
- * Grid ids disambiguate the repeated run() calls a bench makes with
+ * Grid ids disambiguate the repeated grids a bench runs with
  * identical column labels (e.g. fig11 sweeps table sizes row by
- * row); they are assigned in call order, which is deterministic.
+ * row); they are assigned in grid order, which is deterministic.
  *
  * Crash tolerance: a process killed mid-append leaves at most one
  * truncated final line, which load() drops. A header that does not

@@ -246,7 +246,58 @@ void
 SuiteRunner::waitAcquisition() const
 {
     std::unique_lock<std::mutex> lock(_acquireMutex);
+    // A pool worker parked here holds a slot the pending acquisition
+    // tasks may be queued behind: once every worker waits, nothing
+    // ever finishes. Work that needs a trace on the executor takes
+    // it through forEachTrace() or run() instead.
+    IBP_ASSERT(_acquireRemaining == 0 ||
+                   Executor::currentWorkerIndex() < 0,
+               "SuiteRunner: blocking trace access from executor "
+               "worker %d before acquisition finished would deadlock "
+               "the pool; use forEachTrace()",
+               Executor::currentWorkerIndex());
     _acquireCv.wait(lock, [&] { return _acquireRemaining == 0; });
+}
+
+void
+SuiteRunner::forEachTrace(
+    const std::function<void(std::size_t, const Trace &)> &fn,
+    RunMetrics *metrics) const
+{
+    Executor &executor = Executor::global();
+    executor.ensureWorkers(simulationThreads());
+    {
+        // The chunks' path: defer() before the trace exists, so
+        // wait() cannot return while a walk is gated on acquisition.
+        Executor::Batch batch(executor);
+        for (std::size_t i = 0; i < _names.size(); ++i) {
+            batch.defer();
+            onTraceReady(i, [&batch, &fn, i](const Trace *trace) {
+                if (trace == nullptr) {
+                    batch.cancelDeferred();
+                    return;
+                }
+                batch.spawnDeferred([&fn, i, trace]() { fn(i, *trace); });
+            });
+        }
+        batch.wait();
+    }
+    publishTraceSource(metrics);
+}
+
+void
+SuiteRunner::publishTraceSource(RunMetrics *metrics) const
+{
+    // Once per runner: whether this run paid the trace generation
+    // cost or rode the cache (the CI cache-smoke job asserts on
+    // these counters).
+    if (metrics == nullptr || _traceStatsPublished.exchange(true))
+        return;
+    waitAcquisition();
+    metrics->recordTraceSource(_traceStats.generated,
+                               _traceStats.mmapHits,
+                               _traceStats.streamHits,
+                               _traceStats.seconds);
 }
 
 const std::map<std::string, RunError> &
@@ -289,13 +340,17 @@ SuiteRunner::trace(const std::string &benchmark) const
     return it->second;
 }
 
-GridResult
-SuiteRunner::run(const std::vector<SweepColumn> &columns,
+std::vector<GridResult>
+SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
                  RunSession &session) const
 {
     const RetryPolicy &retry = _config.retry;
     const FaultInjector &faults = _config.faults;
-    const unsigned grid_id = session.nextGridId++;
+    // One grid id per grid, in order: every id-derived name (journal
+    // records, "sim" fault keys, the shard owner) is what the same
+    // grids run as sequential calls would have used.
+    const unsigned first_grid_id = session.nextGridId;
+    session.nextGridId += static_cast<unsigned>(grids.size());
     RunMetrics *metrics = session.metrics;
     CheckpointJournal *journal = session.checkpoint;
     // Drain support (docs/SERVICE.md): once the session's abort flag
@@ -321,10 +376,14 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
          *  their continuation, the moment it exists). */
         const Trace *trace = nullptr;
         const std::string *benchmark;
+        /** Position of the cell's grid in @p grids, and that grid's
+         *  id (first_grid_id + grid). */
+        std::size_t grid = 0;
+        unsigned gridId = 0;
         double missPercent = 0.0;
         bool done = false;
         bool failed = false;
-        RunError error;
+        RunError error{};
         /** Result-store cell key; empty = don't probe or persist
          *  (store disabled, column unkeyed, or injector armed). */
         std::string storeKey;
@@ -378,9 +437,12 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         return it->second;
     };
 
-    GridResult grid;
+    std::vector<GridResult> results(grids.size());
+    std::size_t cell_count = 0;
+    for (const auto &columns : grids)
+        cell_count += columns.size() * _names.size();
     std::vector<Job> jobs;
-    jobs.reserve(columns.size() * _names.size());
+    jobs.reserve(cell_count);
     // Claim handles, index-aligned with jobs (CellClaim is move-only
     // and Job is an aggregate; a parallel vector keeps Job cheap).
     // Never resized after construction, so finishCell can release a
@@ -388,7 +450,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     // is still held at return (drained / deferred / failed cells)
     // releases via the destructors.
     std::vector<CellClaim> cell_claims;
-    cell_claims.reserve(columns.size() * _names.size());
+    cell_claims.reserve(cell_count);
     const auto pushJob = [&](Job job, CellClaim claim = {}) {
         jobs.push_back(std::move(job));
         cell_claims.push_back(std::move(claim));
@@ -397,10 +459,11 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     // the warm-probe hit path, reused by the post-claim re-probe and
     // the deferred-wait loop (stored integer counters make the
     // restored miss rate bit-identical to a cold computation).
-    const auto serveStored = [&](const SweepColumn &column,
+    const auto serveStored = [&](std::size_t grid,
+                                 const SweepColumn &column,
                                  const std::string &name,
                                  const StoredResult &cell) {
-        grid.set(column.label, name, cell.missPercent);
+        results[grid].set(column.label, name, cell.missPercent);
         if (metrics && cell.hasCounters) {
             CellMetrics restored_cell;
             restored_cell.column = column.label;
@@ -417,8 +480,9 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             // Journalled like any finished cell, so a
             // drained-and-resumed sweep stays coherent.
             const auto appended = journal->append(
-                CheckpointCell{grid_id, column.label, name,
-                               cell.missPercent});
+                CheckpointCell{first_grid_id +
+                                   static_cast<unsigned>(grid),
+                               column.label, name, cell.missPercent});
             if (!appended.ok()) {
                 warn("checkpoint append failed for %s/%s: %s",
                      column.label.c_str(), name.c_str(),
@@ -427,155 +491,175 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         }
         notifyCell();
     };
-    for (const auto &column : columns) {
-        for (std::size_t name_index = 0;
-             name_index < _names.size(); ++name_index) {
-            const std::string &name = _names[name_index];
-            // Resume: a journalled cell is restored verbatim, not
-            // recomputed (it carries the full-precision miss rate).
-            // Benchmarks whose acquisition fails are resolved after
-            // the acquisition barrier below - their cells fail
-            // without ever simulating.
-            if (journal) {
-                const auto restored =
-                    journal->lookup(grid_id, column.label, name);
-                if (restored) {
-                    grid.set(column.label, name, *restored);
-                    // Checkpoint/result-store interplay: the journal
-                    // resurrected this cell, so it is NOT a store
-                    // hit - but its value is worth persisting so the
-                    // next journal-less warm run finds it. Written
-                    // back exactly once (contains() guards reruns of
-                    // the same journal); the journal records only
-                    // the miss rate, so the entry carries no
-                    // counters.
-                    if (store && column.specHash != 0) {
-                        const std::string key = ResultStore::cellKey(
-                            traceKeyOf(name), column.specHash);
-                        if (!store->contains(key)) {
-                            StoredResult entry;
-                            entry.benchmark = name;
-                            entry.hasCounters = false;
-                            entry.missPercent = *restored;
-                            const auto written =
-                                store->store(key, entry);
-                            if (written.ok()) {
-                                ++store_stats.journalWritebacks;
-                            } else {
-                                warn("result store write-back for "
-                                     "%s/%s failed: %s",
-                                     column.label.c_str(),
-                                     name.c_str(),
-                                     written.error()
-                                         .describe()
-                                         .c_str());
-                            }
+    // Resolve or queue one (grid, column, benchmark) cell.
+    const auto addCell = [&](std::size_t g, const SweepColumn &column,
+                             std::size_t name_index) {
+        const unsigned grid_id =
+            first_grid_id + static_cast<unsigned>(g);
+        GridResult &grid = results[g];
+        const std::string &name = _names[name_index];
+        // Resume: a journalled cell is restored verbatim, not
+        // recomputed (it carries the full-precision miss rate).
+        // Benchmarks whose acquisition fails are resolved after
+        // the acquisition barrier below - their cells fail
+        // without ever simulating.
+        if (journal) {
+            const auto restored =
+                journal->lookup(grid_id, column.label, name);
+            if (restored) {
+                grid.set(column.label, name, *restored);
+                // Checkpoint/result-store interplay: the journal
+                // resurrected this cell, so it is NOT a store
+                // hit - but its value is worth persisting so the
+                // next journal-less warm run finds it. Written
+                // back exactly once (contains() guards reruns of
+                // the same journal); the journal records only
+                // the miss rate, so the entry carries no
+                // counters.
+                if (store && column.specHash != 0) {
+                    const std::string key = ResultStore::cellKey(
+                        traceKeyOf(name), column.specHash);
+                    if (!store->contains(key)) {
+                        StoredResult entry;
+                        entry.benchmark = name;
+                        entry.hasCounters = false;
+                        entry.missPercent = *restored;
+                        const auto written =
+                            store->store(key, entry);
+                        if (written.ok()) {
+                            ++store_stats.journalWritebacks;
+                        } else {
+                            warn("result store write-back for "
+                                 "%s/%s failed: %s",
+                                 column.label.c_str(),
+                                 name.c_str(),
+                                 written.error()
+                                     .describe()
+                                     .c_str());
                         }
                     }
-                    notifyCell();
-                    continue;
                 }
-                // Poisoning: a cell with this many start records but
-                // no completion killed (or hung) every prior
-                // incarnation that tried it. Another attempt would
-                // crash-loop the sweep, so record a timeout failure
-                // and move on (docs/ROBUSTNESS.md).
-                const unsigned prior = journal->startedCountPrior(
-                    grid_id, column.label, name);
-                if (prior >= retry.poisonThreshold) {
-                    const std::string message =
-                        "cell poisoned: " + std::to_string(prior) +
-                        " prior incarnations died inside it";
-                    if (metrics) {
-                        metrics->recordFailure(FailureRecord{
-                            column.label, name, message,
-                            errorKindName(ErrorKind::Timeout),
-                            prior});
-                    }
-                    grid.setFailed(FailedCell{column.label, name,
-                                              message,
-                                              ErrorKind::Timeout,
-                                              prior});
-                    notifyCell();
-                    continue;
-                }
+                notifyCell();
+                return;
             }
-            std::string store_key;
-            if (store && column.specHash != 0) {
-                store_key = ResultStore::cellKey(traceKeyOf(name),
-                                                 column.specHash);
+            // Poisoning: a cell with this many start records but
+            // no completion killed (or hung) every prior
+            // incarnation that tried it. Another attempt would
+            // crash-loop the sweep, so record a timeout failure
+            // and move on (docs/ROBUSTNESS.md).
+            const unsigned prior = journal->startedCountPrior(
+                grid_id, column.label, name);
+            if (prior >= retry.poisonThreshold) {
+                const std::string message =
+                    "cell poisoned: " + std::to_string(prior) +
+                    " prior incarnations died inside it";
+                if (metrics) {
+                    metrics->recordFailure(FailureRecord{
+                        column.label, name, message,
+                        errorKindName(ErrorKind::Timeout),
+                        prior});
+                }
+                grid.setFailed(FailedCell{column.label, name,
+                                          message,
+                                          ErrorKind::Timeout,
+                                          prior});
+                notifyCell();
+                return;
             }
-            // Shard filter: only the owner shard simulates a cell;
-            // other shards either track it as a steal candidate or
-            // skip it outright (the merge pass restores it from the
-            // store). Unkeyed cells cannot flow through the store,
-            // so every shard leaves them for the merge.
-            if (shard_active) {
-                if (store_key.empty())
-                    continue;
-                const unsigned owner = static_cast<unsigned>(
-                    (name_index + grid_id) % shard_count);
-                if (owner != shard_index) {
-                    if (session.shardSteal) {
-                        pushJob(Job{&column, nullptr, &name, 0.0,
-                                    false, false, {},
-                                    std::move(store_key), false,
-                                    true});
-                    }
-                    continue;
+        }
+        std::string store_key;
+        if (store && column.specHash != 0) {
+            store_key = ResultStore::cellKey(traceKeyOf(name),
+                                             column.specHash);
+        }
+        // Shard filter: only the owner shard simulates a cell;
+        // other shards either track it as a steal candidate or
+        // skip it outright (the merge pass restores it from the
+        // store). Unkeyed cells cannot flow through the store,
+        // so every shard leaves them for the merge.
+        if (shard_active) {
+            if (store_key.empty())
+                return;
+            const unsigned owner = static_cast<unsigned>(
+                (name_index + grid_id) % shard_count);
+            if (owner != shard_index) {
+                if (session.shardSteal) {
+                    pushJob(Job{.column = &column,
+                                .benchmark = &name,
+                                .grid = g,
+                                .gridId = grid_id,
+                                .storeKey = std::move(store_key),
+                                .foreign = true});
                 }
+                return;
             }
-            // Warm probe: a keyed cell whose inputs (trace key x
-            // spec hash x simulator version x table impl) match a
-            // stored entry is loaded instead of simulated - the
-            // stored integer counters make the restored miss rate
-            // bit-identical to a cold computation. A quarantined
-            // entry counts as invalidated and the cell re-simulates.
-            if (!store_key.empty()) {
-                const auto loaded = store->load(store_key);
-                if (loaded.status == ResultStore::LoadStatus::Hit) {
-                    ++store_stats.hits;
-                    serveStored(column, name, loaded.result);
-                    continue;
-                }
-                if (loaded.status ==
-                    ResultStore::LoadStatus::Invalidated) {
-                    ++store_stats.invalidated;
-                } else {
-                    ++store_stats.misses;
-                }
-                if (claims_active) {
-                    CellClaim claim = store->tryClaim(store_key);
-                    if (claim.busy()) {
-                        // A live peer is computing this cell right
-                        // now: defer it and serve it from the store
-                        // once the peer persists it (the cross-shard
-                        // / cross-request exactly-once path).
-                        ++store_stats.claimBusy;
-                        pushJob(Job{&column, nullptr, &name, 0.0,
-                                    false, false, {},
-                                    std::move(store_key), true});
-                        continue;
-                    }
-                    // The previous owner may have stored the entry
-                    // and released between our probe and this claim;
-                    // re-probe so we serve instead of re-simulating.
-                    const auto raced = store->load(store_key);
-                    if (raced.status ==
-                        ResultStore::LoadStatus::Hit) {
-                        ++store_stats.claimServed;
-                        serveStored(column, name, raced.result);
-                        continue;
-                    }
-                    ++store_stats.claims;
-                    pushJob(Job{&column, nullptr, &name, 0.0, false,
-                                false, {}, std::move(store_key)},
-                            std::move(claim));
-                    continue;
-                }
+        }
+        // Warm probe: a keyed cell whose inputs (trace key x
+        // spec hash x simulator version x table impl) match a
+        // stored entry is loaded instead of simulated - the
+        // stored integer counters make the restored miss rate
+        // bit-identical to a cold computation. A quarantined
+        // entry counts as invalidated and the cell re-simulates.
+        if (!store_key.empty()) {
+            const auto loaded = store->load(store_key);
+            if (loaded.status == ResultStore::LoadStatus::Hit) {
+                ++store_stats.hits;
+                serveStored(g, column, name, loaded.result);
+                return;
             }
-            pushJob(Job{&column, nullptr, &name, 0.0, false, false,
-                        {}, std::move(store_key)});
+            if (loaded.status ==
+                ResultStore::LoadStatus::Invalidated) {
+                ++store_stats.invalidated;
+            } else {
+                ++store_stats.misses;
+            }
+            if (claims_active) {
+                CellClaim claim = store->tryClaim(store_key);
+                if (claim.busy()) {
+                    // A live peer is computing this cell right
+                    // now: defer it and serve it from the store
+                    // once the peer persists it (the cross-shard
+                    // / cross-request exactly-once path).
+                    ++store_stats.claimBusy;
+                    pushJob(Job{.column = &column,
+                                .benchmark = &name,
+                                .grid = g,
+                                .gridId = grid_id,
+                                .storeKey = std::move(store_key),
+                                .deferred = true});
+                    return;
+                }
+                // The previous owner may have stored the entry
+                // and released between our probe and this claim;
+                // re-probe so we serve instead of re-simulating.
+                const auto raced = store->load(store_key);
+                if (raced.status ==
+                    ResultStore::LoadStatus::Hit) {
+                    ++store_stats.claimServed;
+                    serveStored(g, column, name, raced.result);
+                    return;
+                }
+                ++store_stats.claims;
+                pushJob(Job{.column = &column,
+                            .benchmark = &name,
+                            .grid = g,
+                            .gridId = grid_id,
+                            .storeKey = std::move(store_key)},
+                        std::move(claim));
+                return;
+            }
+        }
+        pushJob(Job{.column = &column,
+                    .benchmark = &name,
+                    .grid = g,
+                    .gridId = grid_id,
+                    .storeKey = std::move(store_key)});
+    };
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        for (const auto &column : grids[g]) {
+            for (std::size_t name_index = 0;
+                 name_index < _names.size(); ++name_index)
+                addCell(g, column, name_index);
         }
     }
 
@@ -601,7 +685,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         }
         if (journal) {
             const auto appended = journal->append(CheckpointCell{
-                grid_id, job.column->label, *job.benchmark,
+                job.gridId, job.column->label, *job.benchmark,
                 job.missPercent});
             if (!appended.ok()) {
                 warn("checkpoint append failed for %s/%s: %s",
@@ -720,7 +804,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             return;
         const std::size_t j =
             static_cast<std::size_t>(&job - jobs.data());
-        const std::string fault_key = std::to_string(grid_id) + "/" +
+        const std::string fault_key = std::to_string(job.gridId) + "/" +
                                       job.column->label + "/" +
                                       *job.benchmark;
         // Attempts of dead incarnations count: seeding the
@@ -729,13 +813,13 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         // fresh process retries the cell.
         const unsigned prior_starts =
             journal ? journal->startedCountPrior(
-                          grid_id, job.column->label, *job.benchmark)
+                          job.gridId, job.column->label, *job.benchmark)
                     : 0;
         auto outcome = runWithRetries(
             retry, [&](unsigned attempt) {
                 if (journal) {
                     const auto marked = journal->appendStart(
-                        CheckpointStart{grid_id, job.column->label,
+                        CheckpointStart{job.gridId, job.column->label,
                                         *job.benchmark});
                     if (!marked.ok()) {
                         warn("checkpoint start append failed"
@@ -765,11 +849,13 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         finishCell(job, outcome.value());
     };
 
-    // Grid chunks: all pending columns of a benchmark share ONE
-    // trace traversal, each chunk runnable the moment its trace
-    // lands (onTraceReady continuation -> executor task). Any
-    // failure inside a chunk (factory error, deadline, injected
-    // "fused" fault, anything the engine throws) re-spawns its cells
+    // Grid chunks: all pending cells of a benchmark, across every
+    // grid of the call, share ONE trace traversal (the "fused" fault
+    // key names the call's first grid id), each chunk runnable the
+    // moment its trace lands (onTraceReady continuation -> executor
+    // task). Any failure inside a chunk (factory error, deadline,
+    // injected "fused" fault, anything the engine throws) re-spawns
+    // its cells
     // as one-cell chunks under the full per-cell isolation; results
     // are bit-identical either way, since a column's counters do not
     // depend on its traversal mates. When the "sim" fault site is
@@ -839,7 +925,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                     };
                 try {
                     faults.check("fused",
-                                 std::to_string(grid_id) + "/" +
+                                 std::to_string(first_grid_id) + "/" +
                                      *jobs[members.front()].benchmark);
                 } catch (const RunException &) {
                     fallBack(&SweepKernelStats::fallbackInjected);
@@ -855,7 +941,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                     starts.reserve(members.size());
                     for (const std::size_t j : members) {
                         starts.push_back(CheckpointStart{
-                            grid_id, jobs[j].column->label,
+                            jobs[j].gridId, jobs[j].column->label,
                             *jobs[j].benchmark});
                     }
                     const auto marked = journal->appendStarts(starts);
@@ -1022,8 +1108,8 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                     // The owner delivered: one simulation, N
                     // consumers.
                     ++store_stats.claimServed;
-                    serveStored(*job.column, *job.benchmark,
-                                loaded.result);
+                    serveStored(job.grid, *job.column,
+                                *job.benchmark, loaded.result);
                     job.done = true;
                     job.missPercent = loaded.result.missPercent;
                     continue;
@@ -1065,15 +1151,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - grid_start)
                 .count());
-        // Once per runner: whether this run paid the trace
-        // generation cost or rode the cache (the CI cache-smoke job
-        // asserts on these counters).
-        if (!_traceStatsPublished.exchange(true)) {
-            metrics->recordTraceSource(_traceStats.generated,
-                                       _traceStats.mmapHits,
-                                       _traceStats.streamHits,
-                                       _traceStats.seconds);
-        }
+        publishTraceSource(metrics);
         // Chunk observability, mirroring trace_source: how many grid
         // chunks completed as one traversal and why any fell back.
         if (!jobs.empty()) {
@@ -1122,18 +1200,18 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             continue;
         }
         if (job.failed) {
-            grid.setFailed(FailedCell{
+            results[job.grid].setFailed(FailedCell{
                 job.column->label, *job.benchmark, job.error.message,
                 job.error.kind, job.error.attempts});
         } else if (job.done) {
-            grid.set(job.column->label, *job.benchmark,
-                     job.missPercent);
+            results[job.grid].set(job.column->label, *job.benchmark,
+                                  job.missPercent);
         }
         // Neither done nor failed: the drain flag stopped the cell
         // before it started. It stays absent from the grid, exactly
         // like a journal-restored run never saw it.
     }
-    return grid;
+    return results;
 }
 
 GridResult
@@ -1142,7 +1220,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
 {
     RunSession session;
     session.metrics = metrics;
-    return run(columns, session);
+    return run({columns}, session).front();
 }
 
 std::vector<std::pair<std::string, std::vector<std::string>>>

@@ -5,11 +5,12 @@
  * A SuiteRunner acquires the synthetic traces of a set of benchmarks
  * (in parallel, through the on-disk trace cache when one is
  * configured), then evaluates (configuration x benchmark) grids in
- * parallel across hardware threads, feeding all columns of a
- * benchmark from a single trace traversal (simulateMany). It
- * knows the paper's averaging groups (Table 3) and can render
- * results as per-benchmark or per-group ResultTables, which is how
- * every bench binary reproduces its figure or table.
+ * parallel across hardware threads, feeding every column of a
+ * benchmark - across all the grids of one run() call - from a single
+ * trace traversal (simulateMany). It knows the paper's averaging
+ * groups (Table 3) and can render results as per-benchmark or
+ * per-group ResultTables, which is how every bench binary reproduces
+ * its figure or table.
  *
  * Fault tolerance (docs/ROBUSTNESS.md): a grid chunk that fails
  * re-runs its cells as one-cell chunks, so an error in one
@@ -120,7 +121,7 @@ class GridResult
 /**
  * Mutable state shared by the run() calls of one experiment: where
  * telemetry and failures go, the optional checkpoint journal, and
- * the grid-id counter that keeps repeated run() calls
+ * the grid-id counter that keeps the grids of an experiment
  * distinguishable inside the journal. The run's config is the
  * runner's (SuiteRunner::config()).
  */
@@ -128,7 +129,7 @@ struct RunSession
 {
     RunMetrics *metrics = nullptr;
     CheckpointJournal *checkpoint = nullptr;
-    /** Next grid id; run() consumes one per call. */
+    /** Next grid id; run() consumes one per grid, in order. */
     unsigned nextGridId = 0;
     /**
      * Drain flag (may be null). While it reads true, run() stops
@@ -157,8 +158,8 @@ struct RunSession
      * store). Sharding on the BENCHMARK axis keeps every grid
      * chunk (one benchmark, all pending columns) whole, so the
      * shared trace traversal and the equal-config predictor dedup
-     * survive the split; the grid-id rotation keeps repeated run()
-     * calls from starving the same shard. With no store armed the
+     * survive the split; the grid-id rotation keeps repeated grids
+     * from starving the same shard. With no store armed the
      * shard spec is ignored and every cell simulates (correct,
      * just unshared).
      */
@@ -255,7 +256,13 @@ class SuiteRunner
         return _names;
     }
 
-    /** Blocks until acquisition completes. */
+    /**
+     * Blocks until acquisition completes. The blocking accessors
+     * (this, failedBenchmarks(), traceSourceStats()) must not be
+     * called from an executor worker while acquisition is still in
+     * flight - that would park the worker the acquisition tasks wait
+     * for, so it fails an assertion instead; use forEachTrace().
+     */
     const Trace &trace(const std::string &benchmark) const;
 
     /** Benchmark name -> error, for traces that failed to generate.
@@ -264,31 +271,56 @@ class SuiteRunner
 
     /**
      * Where this runner's traces came from. A warm cache shows
-     * generated == 0; run() publishes these counters into the
-     * session's RunMetrics once per runner, so artifacts record
-     * whether a run paid the generation cost. Blocks until
+     * generated == 0; run() and forEachTrace() publish these
+     * counters into their RunMetrics once per runner, so artifacts
+     * record whether a run paid the generation cost. Blocks until
      * acquisition completes.
      */
     const TraceSourceStats &traceSourceStats() const;
 
     /**
-     * Simulate every (column x benchmark) pair, in parallel: each
-     * benchmark's pending columns form a chunk that runs as one
-     * simulateMany traversal, and a failed chunk falls back to
-     * one-cell chunks with the isolation governed by config()
-     * (retries, per-cell deadline, fault sites) and @p session
-     * (checkpoint lookup/append, telemetry and failure records).
-     * Consumes one grid id from the session.
+     * Simulate every (column x benchmark) pair of every grid, in
+     * parallel: each benchmark's pending cells, across all of
+     * @p grids, form a chunk that runs as one simulateMany
+     * traversal, and a failed chunk falls back to one-cell chunks
+     * with the isolation governed by config() (retries, per-cell
+     * deadline, fault sites) and @p session (checkpoint
+     * lookup/append, telemetry and failure records). Returns one
+     * GridResult per grid, in order.
+     *
+     * Each grid consumes one grid id from the session, in order, so
+     * labels, journal records, "sim" fault keys, store keys and
+     * shard owners are exactly those of one call per grid; only
+     * the chunking (and the "fused" fault key, which names the
+     * call's first grid id) differs. Fusing grids shares the trace
+     * traversal but keeps every grid's predictors live at once: a
+     * one-grid call is run({columns}, session).front().
      */
-    GridResult run(const std::vector<SweepColumn> &columns,
-                   RunSession &session) const;
+    std::vector<GridResult>
+    run(const std::vector<std::vector<SweepColumn>> &grids,
+        RunSession &session) const;
 
     /**
-     * Convenience overload: a throwaway session with no checkpoint
-     * and @p metrics as the sink.
+     * Convenience one-grid call: a throwaway session with no
+     * checkpoint and @p metrics as the sink.
      */
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunMetrics *metrics = nullptr) const;
+
+    /**
+     * Run @p fn(index, trace) once per benchmark whose acquisition
+     * succeeded - index into benchmarks() - on the executor, the
+     * moment that trace lands (benchmarks whose acquisition failed
+     * are skipped); returns when every call finished. Calls run
+     * concurrently, so @p fn writes only its own index's slot. For
+     * side walks over the traces that are not predictor grids;
+     * walks read TraceBlockCursor blocks, so a columnar trace never
+     * materialises its AoS shadow. Publishes the trace-source
+     * counters into @p metrics like run().
+     */
+    void forEachTrace(
+        const std::function<void(std::size_t, const Trace &)> &fn,
+        RunMetrics *metrics = nullptr) const;
 
     /**
      * Render a grid as a table with one row per averaging group that
@@ -338,8 +370,13 @@ class SuiteRunner
         std::size_t index,
         std::function<void(const Trace *)> continuation) const;
 
-    /** Block until every acquisition task published its outcome. */
+    /** Block until every acquisition task published its outcome;
+     *  asserts when called from an executor worker too early. */
     void waitAcquisition() const;
+
+    /** Record the trace-source counters into @p metrics, once per
+     *  runner (no-op for a null sink). */
+    void publishTraceSource(RunMetrics *metrics) const;
 
     std::vector<std::string> _names;
     RunConfig _config;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "trace/trace_block.hh"
 #include "util/stats.hh"
 
 namespace ibp {
@@ -11,9 +12,13 @@ std::map<Addr, std::uint64_t>
 siteExecutionCounts(const Trace &trace)
 {
     std::map<Addr, std::uint64_t> counts;
-    for (const auto &record : trace) {
-        if (record.isPredictedIndirect())
-            ++counts[record.pc];
+    TraceBlockCursor cursor(trace);
+    TraceBlock block;
+    while (cursor.next(block)) {
+        for (std::size_t i = 0; i < block.count; ++i) {
+            if (branchMetaIsPredictedIndirect(block.meta[i]))
+                ++counts[block.pc[i]];
+        }
     }
     return counts;
 }
@@ -33,24 +38,30 @@ computeTraceStats(const Trace &trace)
     };
     std::map<Addr, SiteAccum> sites;
 
-    for (const auto &record : trace) {
-        switch (record.kind) {
-          case BranchKind::Conditional:
-            ++stats.conditionalBranches;
-            break;
-          case BranchKind::Return:
-            ++stats.returns;
-            break;
-          case BranchKind::IndirectCall:
-          case BranchKind::IndirectJump:
-          case BranchKind::IndirectSwitch:
-            ++stats.indirectBranches;
-            if (record.kind == BranchKind::IndirectCall)
-                ++stats.virtualCalls;
-            auto &site = sites[record.pc];
-            ++site.executions;
-            ++site.targets[record.target];
-            break;
+    // Blocks, not records(): a columnar trace stays zero-copy.
+    TraceBlockCursor cursor(trace);
+    TraceBlock block;
+    while (cursor.next(block)) {
+        for (std::size_t i = 0; i < block.count; ++i) {
+            const BranchKind kind = branchMetaKind(block.meta[i]);
+            switch (kind) {
+              case BranchKind::Conditional:
+                ++stats.conditionalBranches;
+                break;
+              case BranchKind::Return:
+                ++stats.returns;
+                break;
+              case BranchKind::IndirectCall:
+              case BranchKind::IndirectJump:
+              case BranchKind::IndirectSwitch:
+                ++stats.indirectBranches;
+                if (kind == BranchKind::IndirectCall)
+                    ++stats.virtualCalls;
+                auto &site = sites[block.pc[i]];
+                ++site.executions;
+                ++site.targets[block.target[i]];
+                break;
+            }
         }
     }
 

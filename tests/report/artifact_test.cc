@@ -190,9 +190,16 @@ TEST(ArtifactTest, WriteLeavesNoTempFileBehind)
     const std::string dir =
         testing::TempDir() + "/ibp_artifact_atomic";
     const std::string path = dir + "/fig02.json";
+    std::filesystem::remove_all(dir);
     ASSERT_TRUE(artifact.write(path).ok());
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
     EXPECT_TRUE(std::filesystem::exists(path));
+    // The artifact is the directory's only file: no temp survives.
+    std::size_t files = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().string(), path);
+        ++files;
+    }
+    EXPECT_EQ(files, 1u);
 }
 
 TEST(ArtifactTest, WriteReportsUnwritableDirectory)

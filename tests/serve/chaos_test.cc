@@ -86,11 +86,11 @@ crashOnceExperiment()
                                 context.config());
              const auto columns = chaosColumns();
              const GridResult first =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              if (context.restoredCells() == 0)
                  std::abort();
              const GridResult second =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("crash grid 1",
                                                 first, columns));
              context.emit(runner.benchmarkTable("crash grid 2",
@@ -110,7 +110,7 @@ cleanExperiment()
                                 context.config());
              const auto columns = chaosColumns();
              const GridResult grid =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("clean grid", grid,
                                                 columns));
              context.note("chaos clean note");
@@ -130,7 +130,7 @@ hangProneExperiment()
                                 context.config());
              const auto columns = chaosColumns();
              const GridResult grid =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("hang grid", grid,
                                                 columns));
          }});
@@ -149,10 +149,10 @@ killTargetExperiment()
                                 context.config());
              const auto columns = chaosColumns();
              const GridResult first =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              waitForGateFile(g_chaos_gate, context.session());
              const GridResult second =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("kill grid 1",
                                                 first, columns));
              context.emit(runner.benchmarkTable("kill grid 2",

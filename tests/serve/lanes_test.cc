@@ -86,7 +86,7 @@ laneDiffExperiment()
                                 context.config());
              const auto columns = laneColumns();
              const GridResult grid =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("lanes diff grid",
                                                 grid, columns));
              context.note("lanes differential note");
@@ -106,10 +106,10 @@ gatedLaneExperiment(const char *slug, const std::string *gate)
                                 context.config());
              const auto columns = laneColumns();
              const GridResult first =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              waitForGateFile(*gate, context.session());
              const GridResult second =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("gated grid 1",
                                                 first, columns));
              context.emit(runner.benchmarkTable("gated grid 2",

@@ -126,7 +126,7 @@ diffExperiment()
                                 context.config());
              const auto columns = smallColumns();
              const GridResult grid =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("serve diff grid",
                                                 grid, columns));
              context.note("serve differential note");
@@ -146,10 +146,10 @@ drainExperiment()
                                 context.config());
              const auto columns = smallColumns();
              const GridResult first =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              g_drain_gate.wait();
              const GridResult second =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable(
                  "drain grid 1", first, columns));
              context.emit(runner.benchmarkTable(

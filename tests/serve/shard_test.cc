@@ -132,7 +132,7 @@ shardDiffExperiment()
                            true),
              };
              const GridResult grid =
-                 runner.run(columns, context.session());
+                 runner.run({columns}, context.session()).front();
              context.emit(runner.benchmarkTable("shard diff grid",
                                                 grid, columns));
              context.note("shard differential note");
@@ -155,10 +155,10 @@ gatedShardExperiment()
              const auto before = countedShardColumns(256);
              const auto after = countedShardColumns(512);
              const GridResult first =
-                 runner.run(before, context.session());
+                 runner.run({before}, context.session()).front();
              waitForGateFile(g_shard_gate, context.session());
              const GridResult second =
-                 runner.run(after, context.session());
+                 runner.run({after}, context.session()).front();
              context.emit(runner.benchmarkTable("shard gate grid 1",
                                                 first, before));
              context.emit(runner.benchmarkTable("shard gate grid 2",
@@ -451,14 +451,14 @@ TEST_F(ShardServeTest, OverlappingConcurrentRunsSimulateSharedCellsOnce)
         RunSession session;
         session.metrics = &metrics_a;
         session.cellClaims = true;
-        grid_a = runner.run(columns, session);
+        grid_a = runner.run({columns}, session).front();
     });
     std::thread thread_b([&] {
         SuiteRunner runner({"idl", "gcc", "perl"});
         RunSession session;
         session.metrics = &metrics_b;
         session.cellClaims = true;
-        grid_b = runner.run(columns, session);
+        grid_b = runner.run({columns}, session).front();
     });
     thread_a.join();
     thread_b.join();

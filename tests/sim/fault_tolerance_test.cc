@@ -100,7 +100,7 @@ TEST_F(FaultToleranceTest, PermanentFaultsFailOnlyTheirCells)
     };
     RunMetrics metrics;
     RunSession session = sessionWith(&metrics);
-    const GridResult grid = runner.run(columns, session);
+    const GridResult grid = runner.run({columns}, session).front();
 
     EXPECT_TRUE(grid.partial());
     EXPECT_EQ(grid.failures().size(), 2u);
@@ -157,7 +157,8 @@ TEST_F(FaultToleranceTest, TraceGenerationFailureDegradesSuite)
 
     RunMetrics metrics;
     RunSession session = sessionWith(&metrics);
-    const GridResult grid = runner.run({btbColumn("btb")}, session);
+    const GridResult grid =
+        runner.run({{btbColumn("btb")}}, session).front();
     EXPECT_TRUE(grid.partial());
     EXPECT_EQ(grid.failures().size(), 2u);
     EXPECT_EQ(metrics.failureCount(), 2u);
@@ -187,8 +188,8 @@ TEST_F(FaultToleranceTest, CheckpointResumeReproducesBitForBit)
         RunSession session = sessionWith(&metrics);
         session.checkpoint = journal.value().get();
         // Two grids with identical labels, like fig11's row sweeps.
-        first = runner.run(columns, session);
-        runner.run(columns, session);
+        first = runner.run({columns}, session).front();
+        runner.run({columns}, session);
         EXPECT_EQ(metrics.cellCount(), 8u);
     }
 
@@ -201,7 +202,7 @@ TEST_F(FaultToleranceTest, CheckpointResumeReproducesBitForBit)
         RunMetrics metrics;
         RunSession session = sessionWith(&metrics);
         session.checkpoint = journal.value().get();
-        const GridResult resumed = runner.run(columns, session);
+        const GridResult resumed = runner.run({columns}, session).front();
         EXPECT_EQ(metrics.cellCount(), 0u);
         for (const auto &column : columns) {
             for (const auto &name : runner.benchmarks()) {
@@ -242,7 +243,7 @@ TEST_F(FaultToleranceTest, PartialCheckpointOnlySkipsJournalledCells)
     RunMetrics metrics;
     RunSession session = sessionWith(&metrics);
     session.checkpoint = journal.value().get();
-    const GridResult grid = runner.run(columns, session);
+    const GridResult grid = runner.run({columns}, session).front();
     EXPECT_EQ(metrics.cellCount(), 1u); // only "self" simulated
     EXPECT_EQ(grid.get("btb", "idl"), 99.5);
     EXPECT_EQ(grid.get("btb", "self"),

@@ -236,7 +236,7 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchOracleBitForBit)
     RunSession session;
     RunMetrics metrics;
     session.metrics = &metrics;
-    const GridResult fused = grid_runner.run(columns, session);
+    const GridResult fused = grid_runner.run({columns}, session).front();
     expectSameGrid(grid_runner, columns, fused,
                    referenceGrid(grid_runner, columns));
 
@@ -259,7 +259,7 @@ TEST_F(FusedKernelTest, FusedGridMatchesOracleGridSingleThread)
     RunSession fused_session;
     RunMetrics metrics;
     fused_session.metrics = &metrics;
-    const GridResult fused = runner.run(columns, fused_session);
+    const GridResult fused = runner.run({columns}, fused_session).front();
 
     expectSameGrid(runner, columns, fused, reference);
 
@@ -297,12 +297,13 @@ TEST_F(FusedKernelTest, FusedGridMatchesAcrossThreadCounts)
     setenv("IBP_THREADS", "8", 1);
     SuiteRunner parallel({"idl", "perl"}, /*emitConditionals=*/true);
     RunSession parallel_session;
-    const GridResult fused = parallel.run(columns, parallel_session);
+    const GridResult fused = parallel.run({columns}, parallel_session).front();
 
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner serial({"idl", "perl"}, /*emitConditionals=*/true);
     RunSession serial_session;
-    const GridResult one_thread = serial.run(columns, serial_session);
+    const GridResult one_thread =
+        serial.run({columns}, serial_session).front();
 
     const GridResult reference = referenceGrid(serial, columns);
     expectSameGrid(serial, columns, fused, reference);
@@ -449,7 +450,7 @@ TEST_F(FusedKernelTest, SchedulerIsDeterministicAcrossThreadCounts)
         ASSERT_TRUE(journal.ok());
         RunSession session;
         session.checkpoint = journal.value().get();
-        const GridResult grid = runner.run(columns, session);
+        const GridResult grid = runner.run({columns}, session).front();
         EXPECT_FALSE(grid.partial());
 
         rendered.push_back(

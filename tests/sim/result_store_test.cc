@@ -338,7 +338,7 @@ TEST_F(ResultStoreTest, JournalRestoredCellsWriteBackExactlyOnce)
         ASSERT_TRUE(journal.ok());
         RunSession session;
         session.checkpoint = journal.value().get();
-        original = runner.run(columns, session);
+        original = runner.run({columns}, session).front();
     }
 
     // Phase 2: resume from the journal with a store armed. Every
@@ -353,7 +353,7 @@ TEST_F(ResultStoreTest, JournalRestoredCellsWriteBackExactlyOnce)
         RunSession session;
         session.metrics = &metrics;
         session.checkpoint = journal.value().get();
-        runner.run(columns, session);
+        runner.run({columns}, session);
         EXPECT_EQ(metrics.resultStore().journalWritebacks, 4u);
         EXPECT_EQ(metrics.resultStore().hits, 0u);
         EXPECT_EQ(metrics.resultStore().misses, 0u);
@@ -370,7 +370,7 @@ TEST_F(ResultStoreTest, JournalRestoredCellsWriteBackExactlyOnce)
         RunSession session;
         session.metrics = &metrics;
         session.checkpoint = journal.value().get();
-        runner.run(columns, session);
+        runner.run({columns}, session);
         EXPECT_EQ(metrics.resultStore().journalWritebacks, 0u);
         EXPECT_EQ(metrics.resultStore().hits, 0u);
     }

@@ -144,7 +144,7 @@ TEST_F(SimulateManyTest, GridMatchesOracleGrid)
     RunSession session;
     RunMetrics metrics;
     session.metrics = &metrics;
-    const GridResult fast = runner.run(columns, session);
+    const GridResult fast = runner.run({columns}, session).front();
 
     expectSameGrid(runner, columns, reference, fast);
     EXPECT_EQ(metrics.cellCount(),
@@ -158,13 +158,14 @@ TEST_F(SimulateManyTest, GridMatchesAcrossThreadCounts)
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner serial({"idl", "perl"});
     RunSession serial_session;
-    const GridResult one_thread = serial.run(columns, serial_session);
+    const GridResult one_thread =
+        serial.run({columns}, serial_session).front();
 
     setenv("IBP_THREADS", "8", 1);
     SuiteRunner parallel({"idl", "perl"});
     RunSession parallel_session;
     const GridResult many_threads =
-        parallel.run(columns, parallel_session);
+        parallel.run({columns}, parallel_session).front();
 
     expectSameGrid(serial, columns, one_thread, many_threads);
 }
@@ -198,15 +199,15 @@ TEST_F(SimulateManyTest, WarmTraceCacheSkipsGeneration)
     RunSession warm_session;
     RunMetrics warm_metrics;
     warm_session.metrics = &warm_metrics;
-    const GridResult cold_grid = cold.run(columns, cold_session);
-    const GridResult warm_grid = warm.run(columns, warm_session);
+    const GridResult cold_grid = cold.run({columns}, cold_session).front();
+    const GridResult warm_grid = warm.run({columns}, warm_session).front();
     expectSameGrid(cold, columns, cold_grid, warm_grid);
 
     // run() publishes the trace-source counters exactly once.
     EXPECT_TRUE(warm_metrics.hasTraceSource());
     EXPECT_EQ(warm_metrics.tracesGenerated(), 0u);
     EXPECT_EQ(warm_metrics.traceCacheHits(), 2u);
-    warm.run(columns, warm_session);
+    warm.run({columns}, warm_session);
     EXPECT_EQ(warm_metrics.traceCacheHits(), 2u);
 
     TraceCache::configureGlobal("");
@@ -248,7 +249,7 @@ TEST_F(SimulateManyTest, StaleV2TraceEntryRegeneratesAsV3)
     SuiteRunner cold({"idl"});
     ASSERT_EQ(cold.traceSourceStats().generated, 1u);
     RunSession cold_session;
-    const GridResult cold_grid = cold.run(columns, cold_session);
+    const GridResult cold_grid = cold.run({columns}, cold_session).front();
 
     // Leave the entry as the retired record-array writer would have:
     // its magic and version say v2.
@@ -278,7 +279,7 @@ TEST_F(SimulateManyTest, StaleV2TraceEntryRegeneratesAsV3)
     RunSession stale_session;
     RunMetrics stale_metrics;
     stale_session.metrics = &stale_metrics;
-    const GridResult stale_grid = stale.run(columns, stale_session);
+    const GridResult stale_grid = stale.run({columns}, stale_session).front();
     EXPECT_EQ(stale_metrics.tracesGenerated(), 1u);
     EXPECT_EQ(stale_metrics.traceCacheHits(), 0u);
     EXPECT_EQ(readMagic(), std::string("IBPMAP3\0", 8));

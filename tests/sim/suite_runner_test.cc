@@ -142,12 +142,12 @@ TEST_F(SuiteRunnerTest, GridsMatchAcrossThreadCounts)
     setenv("IBP_THREADS", "8", 1);
     SuiteRunner parallel({"idl", "perl"});
     RunSession parallel_session;
-    const GridResult many = parallel.run(columns, parallel_session);
+    const GridResult many = parallel.run({columns}, parallel_session).front();
 
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner serial({"idl", "perl"});
     RunSession serial_session;
-    const GridResult one = serial.run(columns, serial_session);
+    const GridResult one = serial.run({columns}, serial_session).front();
     unsetenv("IBP_THREADS");
 
     EXPECT_EQ(many.failures().size(), one.failures().size());
