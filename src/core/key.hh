@@ -41,17 +41,48 @@ makeExactKey(std::uint64_t bits)
 }
 
 /**
- * Build a 128-bit hashed key over a word sequence (table id followed
- * by full-precision history targets).
+ * Hashed keys are two FNV-1a chains over the same words, seeded with
+ * distinct offset bases so the 64-bit halves decorrelate. A Key
+ * doubles as the chains' running state: seedHashedKey() is the state
+ * over zero words, extendHashedKey() folds in one more word, and the
+ * state after the last word is the key itself. Sweep kernels keep
+ * the state after every prefix of a history, so keys over nested
+ * prefixes share their hashing (SweepHistoryGroup's key chains).
  */
-inline Key
+constexpr Key
+seedHashedKey()
+{
+    return Key{0xcbf29ce484222325ULL, 0x84222325cbf29ce4ULL};
+}
+
+/** Advance both FNV-1a chains of @p state over one 64-bit word. */
+constexpr Key
+extendHashedKey(Key state, std::uint64_t word)
+{
+    // The two chains are independent multiply sequences; walking
+    // them in one loop lets their multiplies overlap.
+    constexpr std::uint64_t prime = 0x100000001b3ULL;
+    for (int byte = 0; byte < 8; ++byte) {
+        const std::uint64_t low = word & 0xff;
+        state.lo = (state.lo ^ low) * prime;
+        state.hi = (state.hi ^ low) * prime;
+        word >>= 8;
+    }
+    return state;
+}
+
+/**
+ * Build a 128-bit hashed key over a word sequence (table id followed
+ * by full-precision history targets): bit-identical to
+ * {fnv1a64(words, count, seedA), fnv1a64(words, count, seedB)}.
+ */
+constexpr Key
 makeHashedKey(const std::uint64_t *words, unsigned count)
 {
-    // Distinct FNV offset bases decorrelate the two 64-bit halves.
-    constexpr std::uint64_t seedA = 0xcbf29ce484222325ULL;
-    constexpr std::uint64_t seedB = 0x84222325cbf29ce4ULL;
-    return Key{fnv1a64(words, count, seedA),
-               fnv1a64(words, count, seedB)};
+    Key state = seedHashedKey();
+    for (unsigned i = 0; i < count; ++i)
+        state = extendHashedKey(state, words[i]);
+    return state;
 }
 
 struct KeyHash

@@ -20,10 +20,13 @@ SweepKeyVariant::rebuild(Addr pc, SweepHistoryGroup &group)
         const std::uint64_t *compressed = group.compressedFor(pc);
         key = _builder.keyFromPattern(
             pc, _builder.assembleFromCompressed(compressed));
+    } else if (_chain >= 0) {
+        key = group.chainedKey(static_cast<unsigned>(_chain), pc,
+                               spec().pathLength);
     } else {
-        // Fold/shift-xor/full-precision/reference-mode recipes keep
-        // their own assembly, but over the *shared* buffer - columns
-        // with identical specs still collapse onto this one memo.
+        // Fold/shift-xor recipes keep their own assembly, but over
+        // the *shared* buffer - columns with identical specs still
+        // collapse onto this one memo.
         key = _builder.buildKey(pc, group.buffer(pc));
     }
     _memoVersion = group._version;
@@ -48,6 +51,39 @@ SweepHistoryGroup::compressedFor(Addr pc)
     _cacheSet = set;
     _cacheValid = true;
     return _compressed.data();
+}
+
+Key
+SweepHistoryGroup::chainedKey(unsigned chain_index, Addr pc,
+                              unsigned pathLength)
+{
+    KeyChain &chain = _chains[chain_index];
+    const std::uint32_t set = _history->setId(pc);
+    // The address word of PatternBuilder::buildKey(); unused (and
+    // pinned to 0) when the recipe omits the branch address.
+    const std::uint64_t address =
+        !chain.includeBranchAddress || chain.tableSharing >= 32
+            ? 0
+            : pc >> chain.tableSharing;
+    if (chain.built == 0 || chain.version != _version ||
+        chain.set != set || chain.addressWord != address) {
+        Key state = seedHashedKey();
+        if (chain.includeBranchAddress)
+            state = extendHashedKey(state, address);
+        chain.states[0] = state;
+        chain.built = 1;
+        chain.version = _version;
+        chain.set = set;
+        chain.addressWord = address;
+    }
+    if (pathLength >= chain.built) {
+        const HistoryBuffer &buffer = _history->buffer(pc);
+        for (unsigned k = chain.built; k <= pathLength; ++k)
+            chain.states[k] =
+                extendHashedKey(chain.states[k - 1], buffer.at(k - 1));
+        chain.built = pathLength + 1;
+    }
+    return chain.states[pathLength];
 }
 
 SweepKernel::~SweepKernel()
@@ -154,6 +190,35 @@ SweepKernel::finalize()
                 spec.lowBit == group._cacheLowBit &&
                 spec.pathLength <= group._cacheDepth &&
                 spec.resolvedBitsPerTarget() <= group._cacheBits;
+        }
+
+        // Full-precision key chains: one per distinct address recipe,
+        // sized to the deepest path length among its variants.
+        for (const auto &variant : group._variants) {
+            const PatternSpec &spec = variant->spec();
+            if (spec.precision != PrecisionMode::Full)
+                continue;
+            // Without the address word, h has no effect on the key.
+            const unsigned sharing =
+                spec.includeBranchAddress
+                    ? std::min(spec.tableSharing, 32u)
+                    : 0;
+            std::size_t index = 0;
+            while (index < group._chains.size() &&
+                   (group._chains[index].includeBranchAddress !=
+                        spec.includeBranchAddress ||
+                    group._chains[index].tableSharing != sharing))
+                ++index;
+            if (index == group._chains.size()) {
+                group._chains.emplace_back();
+                group._chains.back().includeBranchAddress =
+                    spec.includeBranchAddress;
+                group._chains.back().tableSharing = sharing;
+            }
+            auto &states = group._chains[index].states;
+            states.resize(std::max<std::size_t>(states.size(),
+                                                spec.pathLength + 1));
+            variant->_chain = static_cast<int>(index);
         }
 
         // Incremental patterns require a *global* history: a push

@@ -28,9 +28,18 @@
  *    and each variant derives its own pattern by pushing those
  *    through its precomputed scatter masks (scatterBits consumes
  *    exactly popcount(mask) low bits, so the width-bMax compression
- *    serves every smaller b implicitly). Fold/shift-xor/full
- *    -precision variants fall back to their own buildKey() over the
- *    shared buffer - still memoized, still bit-identical.
+ *    serves every smaller b implicitly). Fold/shift-xor variants
+ *    fall back to their own buildKey() over the shared buffer -
+ *    still memoized, still bit-identical.
+ *  - full-precision variants share *hashed-key prefixes*: their key
+ *    is two FNV-1a chains over (address word, h0, ..., h(p-1)), so
+ *    the key at path length p is a prefix state of the key at any
+ *    deeper p. The group keeps one chain of states per address
+ *    recipe (includeBranchAddress, tableSharing), valid for one
+ *    (history version, history set, address word) and extended
+ *    lazily to the deepest p asked for; each variant reads its key
+ *    at entry p. A fig09 row's path lengths thereby hash each
+ *    history word once per branch instead of once per column.
  *  - columns (or hybrid components) whose *entire* TwoLevelConfig is
  *    equal go further: they are identical state machines fed the
  *    identical record stream, so their tables, histories and counters
@@ -161,6 +170,10 @@ class SweepKeyVariant
     bool _incremental = false;
     std::uint64_t _pattern = 0;
 
+    /** Full-precision variants: index of the group key chain this
+     *  variant reads its key from (set by finalize(); -1 = none). */
+    int _chain = -1;
+
     std::uint64_t _memoVersion = 0;
     Addr _memoPc = 0;
     bool _memoValid = false;
@@ -197,6 +210,14 @@ class SweepHistoryGroup
     friend class SweepKernel;
     friend class SweepKeyVariant;
 
+    /**
+     * The full-precision key over chain @p chain's address word for
+     * @p pc and the @p pathLength newest targets of @p pc's history
+     * set: bit-identical to PatternBuilder::buildKey() for any
+     * full-precision spec with that chain's address recipe.
+     */
+    Key chainedKey(unsigned chain, Addr pc, unsigned pathLength);
+
     /** One resolved element enters @p pc's history: push it into the
      *  shared buffer and advance the incremental patterns. */
     void
@@ -225,6 +246,27 @@ class SweepHistoryGroup
     std::uint64_t _cacheVersion = 0;
     std::uint32_t _cacheSet = 0;
     bool _cacheValid = false;
+
+    /**
+     * Prefix chain of hashed-key states for one full-precision
+     * address recipe: states[k] is the (FNV-1a A, FNV-1a B) state
+     * after the address word (when included) and history words
+     * h0..h(k-1). Valid for one (version, set, address word);
+     * entries [0, built) are current.
+     */
+    struct KeyChain
+    {
+        bool includeBranchAddress = true;
+        /** tableSharing h, clamped to 32 (address word 0); 0 when
+         *  the recipe omits the address. */
+        unsigned tableSharing = 2;
+        std::vector<Key> states;
+        unsigned built = 0;
+        std::uint64_t version = 0;
+        std::uint32_t set = 0;
+        std::uint64_t addressWord = 0;
+    };
+    std::vector<KeyChain> _chains;
 };
 
 class SweepKernel

@@ -182,19 +182,32 @@ CheckpointJournal::lookup(unsigned grid, const std::string &column,
 Result<void>
 CheckpointJournal::append(const CheckpointCell &cell)
 {
-    Json entry = Json::object();
-    entry.set("grid", cell.grid);
-    entry.set("column", cell.column);
-    entry.set("benchmark", cell.benchmark);
-    // Json prints the shortest round-tripping decimal, so the rate
-    // survives the journal bit-for-bit.
-    entry.set("miss", cell.missPercent);
-    const std::string line = entry.dump() + "\n";
+    return appendCells({cell});
+}
+
+Result<void>
+CheckpointJournal::appendCells(const std::vector<CheckpointCell> &cells)
+{
+    if (cells.empty())
+        return Result<void>();
+    std::string lines;
+    for (const CheckpointCell &cell : cells) {
+        Json entry = Json::object();
+        entry.set("grid", cell.grid);
+        entry.set("column", cell.column);
+        entry.set("benchmark", cell.benchmark);
+        // Json prints the shortest round-tripping decimal, so the
+        // rate survives the journal bit-for-bit.
+        entry.set("miss", cell.missPercent);
+        lines += entry.dump() + "\n";
+    }
 
     std::lock_guard<std::mutex> lock(_mutex);
-    _cells[Key{cell.grid, cell.column, cell.benchmark}] =
-        cell.missPercent;
-    return appendLines(line);
+    for (const CheckpointCell &cell : cells) {
+        _cells[Key{cell.grid, cell.column, cell.benchmark}] =
+            cell.missPercent;
+    }
+    return appendLines(lines);
 }
 
 Result<void>

@@ -101,6 +101,10 @@ class CheckpointJournal
     /** Durably append one completed cell. Thread-safe. */
     Result<void> append(const CheckpointCell &cell);
 
+    /** Batched append: one write + fsync for a whole fused chunk's
+     *  (or a construction pass's) completion records. Thread-safe. */
+    Result<void> appendCells(const std::vector<CheckpointCell> &cells);
+
     /** Durably record that an attempt at @p start is beginning. */
     Result<void> appendStart(const CheckpointStart &start);
 

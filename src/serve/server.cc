@@ -707,6 +707,10 @@ SweepServer::runShardTask(const Task &task, unsigned lane_index)
     bool enqueue_merge = false;
     {
         std::lock_guard<std::mutex> lock(job->mutex);
+        if (outcome.result.artifact) {
+            job->shardTracesGenerated +=
+                outcome.result.artifact->metrics.tracesGenerated();
+        }
         if (drained) {
             job->shardDrained = true;
             ++job->shardsTerminal;
@@ -831,6 +835,7 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
 
     bool drained = false;
     bool counted_drained = false;
+    bool warm = false;
     std::uint64_t stolen = 0;
     std::uint64_t overlap = 0;
     {
@@ -844,10 +849,15 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
             serve.admissionRejects = job->clientRejects;
             serve.queueSeconds = job->queueSeconds;
             serve.jobSeconds = secondsSince(job->startedAt);
+            // The merge pass itself only reads traces the shards
+            // left in the cache; the job generated whatever they
+            // generated.
             const RunMetrics &metrics = result.artifact->metrics;
             serve.warm = metrics.hasTraceSource() &&
                          metrics.tracesGenerated() == 0 &&
+                         job->shardTracesGenerated == 0 &&
                          metrics.traceCacheHits() > 0;
+            warm = serve.warm;
             job->shardServe.planned = job->shardCount;
             job->shardServe.mergeSeconds = result.seconds;
             job->shardServe.laneCells.assign(job->shardCells.begin(),
@@ -878,6 +888,8 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
                 ++_stats.jobsDrained;
         } else {
             ++_stats.jobsCompleted;
+            if (warm)
+                ++_stats.warmHits;
             _stats.shardCellsStolen += stolen;
             _stats.overlapCellsCoalesced += overlap;
         }

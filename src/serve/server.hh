@@ -214,6 +214,10 @@ class SweepServer
         /** Aggregated fan-out telemetry, stamped onto the merge
          *  artifact's serve metrics. */
         ShardServeStats shardServe;
+        /** Traces the shard runs generated, summed over every
+         *  dispatch that returned an artifact: a sharded job is warm
+         *  only when its shards and its merge generated nothing. */
+        unsigned shardTracesGenerated = 0;
     };
 
     /** What a runner thread dequeues: a whole job, one shard of a

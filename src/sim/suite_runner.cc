@@ -455,6 +455,27 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
         jobs.push_back(std::move(job));
         cell_claims.push_back(std::move(claim));
     };
+    // Durably journal a batch of completion records: one write and
+    // one fsync however many cells it carries.
+    const auto journalCells =
+        [journal](const std::vector<CheckpointCell> &cells) {
+            if (journal == nullptr)
+                return;
+            const auto appended = journal->appendCells(cells);
+            if (!appended.ok()) {
+                warn("checkpoint append failed for %zu cell(s): %s",
+                     cells.size(),
+                     appended.error().describe().c_str());
+            }
+        };
+    // Completion records of store-served cells, journalled in one
+    // batch after the construction loop (and after each
+    // deferred-wait round) instead of one fsync per hit.
+    std::vector<CheckpointCell> served_cells;
+    const auto journalServed = [&]() {
+        journalCells(served_cells);
+        served_cells.clear();
+    };
     // Serve one cell from a stored entry: identical bookkeeping to
     // the warm-probe hit path, reused by the post-claim re-probe and
     // the deferred-wait loop (stored integer counters make the
@@ -477,17 +498,12 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
             metrics->recordCell(restored_cell);
         }
         if (journal) {
-            // Journalled like any finished cell, so a
-            // drained-and-resumed sweep stays coherent.
-            const auto appended = journal->append(
-                CheckpointCell{first_grid_id +
-                                   static_cast<unsigned>(grid),
-                               column.label, name, cell.missPercent});
-            if (!appended.ok()) {
-                warn("checkpoint append failed for %s/%s: %s",
-                     column.label.c_str(), name.c_str(),
-                     appended.error().describe().c_str());
-            }
+            // Journalled like any finished cell (batched, see
+            // journalServed), so a drained-and-resumed sweep stays
+            // coherent.
+            served_cells.push_back(CheckpointCell{
+                first_grid_id + static_cast<unsigned>(grid),
+                column.label, name, cell.missPercent});
         }
         notifyCell();
     };
@@ -662,11 +678,21 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
                 addCell(g, column, name_index);
         }
     }
+    journalServed();
 
     const auto grid_start = std::chrono::steady_clock::now();
 
-    // Record one finished cell, whichever chunk simulated it.
-    const auto finishCell = [&](Job &job, const SimResult &result) {
+    // A finished cell's journal record.
+    const auto completionOf = [](const Job &job) {
+        return CheckpointCell{job.gridId, job.column->label,
+                              *job.benchmark, job.missPercent};
+    };
+    // Finishing a cell is three steps in a fixed order: record its
+    // result, journal it, then persist it to the store and release
+    // its claim (a claim is only released once the cell is durable
+    // in both). A chunk records all its cells, journals them in one
+    // batch, then persists each.
+    const auto recordCell = [&](Job &job, const SimResult &result) {
         job.missPercent = result.missPercent();
         job.done = true;
         if (metrics) {
@@ -683,16 +709,8 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
             cell.tableCapacity = result.tableCapacity;
             metrics->recordCell(cell);
         }
-        if (journal) {
-            const auto appended = journal->append(CheckpointCell{
-                job.gridId, job.column->label, *job.benchmark,
-                job.missPercent});
-            if (!appended.ok()) {
-                warn("checkpoint append failed for %s/%s: %s",
-                     job.column->label.c_str(), job.benchmark->c_str(),
-                     appended.error().describe().c_str());
-            }
-        }
+    };
+    const auto persistCell = [&](Job &job, const SimResult &result) {
         // Persist the freshly computed cell (atomic write; a full
         // disk degrades the store, never the run). Runs on worker
         // threads, hence the atomic write counter.
@@ -729,6 +747,13 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
         if (job_index < cell_claims.size())
             cell_claims[job_index].release();
         notifyCell();
+    };
+    // Record one finished cell on its own (the one-cell path).
+    const auto finishCell = [&](Job &job, const SimResult &result) {
+        recordCell(job, result);
+        if (journal)
+            journalCells({completionOf(job)});
+        persistCell(job, result);
     };
 
     // Engine telemetry, shared by concurrent chunks: chunk outcomes
@@ -972,8 +997,17 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
                     fallBack(&SweepKernelStats::fallbackError);
                     return;
                 }
+                std::vector<CheckpointCell> completed;
+                completed.reserve(journal ? members.size() : 0);
+                for (std::size_t i = 0; i < members.size(); ++i) {
+                    recordCell(jobs[members[i]], results[i]);
+                    if (journal)
+                        completed.push_back(
+                            completionOf(jobs[members[i]]));
+                }
+                journalCells(completed);
                 for (std::size_t i = 0; i < members.size(); ++i)
-                    finishCell(jobs[members[i]], results[i]);
+                    persistCell(jobs[members[i]], results[i]);
                 countChunk(&SweepKernelStats::groupsFused);
             };
 
@@ -1129,6 +1163,7 @@ SuiteRunner::run(const std::vector<std::vector<SweepColumn>> &grids,
                 ++store_stats.claims;
                 runCell(job, *job.trace, true);
             }
+            journalServed();
             waiting = std::move(still);
             if (waiting.empty())
                 break;

@@ -9,9 +9,10 @@
  * of that may change a counter, so each cell - branches, misses,
  * no-prediction misses, occupancy and capacity - must equal what the
  * seed loop produces for a fresh, unbound predictor of the same
- * column. Covered: the 12-column mix on idl, perl and self (as one
- * traversal and as one-column simulate() calls), a Figure-17 row
- * with deduplicated replicas, and a warm-up window.
+ * column. Covered: the diverse column mix (diverse_columns.hh) on
+ * idl, perl and self (as one traversal and as one-column simulate()
+ * calls), a Figure-17 row with deduplicated replicas, and a warm-up
+ * window.
  */
 
 #include <gtest/gtest.h>

@@ -3,8 +3,8 @@
  * Differential tests of the flat target tables against their
  * node-based oracles (tests/oracle/reference_tables.hh).
  *
- * For every column of the 12-column mix on idl, perl and self, the
- * column's production predictor supplies the key stream it forms on
+ * For every column of the diverse column mix on idl, perl and self,
+ * the column's production predictor supplies the key stream it forms on
  * that trace. Each production table (makeTable) and its oracle twin
  * then receive the identical op stream - probe, access, the BTB /
  * two-level target update - and must agree on every probe answer,

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the checkpoint journal: fresh creation, append/reopen
- * restore with bit-exact miss rates, meta binding, grid-id
- * disambiguation, and crash-truncation tolerance.
+ * restore with bit-exact miss rates, batched completion records,
+ * meta binding, grid-id disambiguation, and crash-truncation
+ * tolerance.
  */
 
 #include <gtest/gtest.h>
@@ -71,6 +72,36 @@ TEST(CheckpointTest, AppendThenReopenRestoresBitExactRates)
     ASSERT_TRUE(a && b);
     EXPECT_EQ(*a, rate_a); // exact, not NEAR
     EXPECT_EQ(*b, rate_b);
+}
+
+TEST(CheckpointTest, BatchedCellsRestoreLikeSingleAppends)
+{
+    const std::string path = tempJournal("batched");
+    const double rate = 100.0 / 7.0;
+    {
+        const auto journal =
+            CheckpointJournal::open(path, sampleMeta());
+        ASSERT_TRUE(journal.ok());
+        ASSERT_TRUE(journal.value()->appendCells({}).ok());
+        ASSERT_TRUE(journal.value()
+                        ->appendCells({{0, "a", "idl", rate},
+                                       {0, "b", "idl", 1.5},
+                                       {2, "a", "gcc", 0.0}})
+                        .ok());
+        // Visible to this incarnation at once, like append().
+        EXPECT_EQ(journal.value()->lookup(0, "b", "idl"), 1.5);
+    }
+    const auto journal = CheckpointJournal::open(path, sampleMeta());
+    ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(journal.value()->restoredCells(), 3u);
+    EXPECT_EQ(journal.value()->lookup(0, "a", "idl"), rate);
+    EXPECT_EQ(journal.value()->lookup(2, "a", "gcc"), 0.0);
+    // One line per record: a header plus three cells.
+    std::ifstream in(path);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    EXPECT_EQ(lines, 4u);
 }
 
 TEST(CheckpointTest, GridIdsDisambiguateIdenticalLabels)

@@ -5,9 +5,10 @@
  * --lanes=1 and to the in-process runner, a SIGKILLed lane mid-shard
  * re-queues only that shard's unfinished cells (finished cells are
  * never re-simulated - counted via a factory-side simulation log),
- * and two concurrent overlapping in-process requests simulate their
+ * two concurrent overlapping in-process requests simulate their
  * intersection exactly once (asserted through the result-store claim
- * counters).
+ * counters), and a sharded job counts as warm only when neither its
+ * shards nor its merge pass generated a trace.
  *
  * Lane processes are fork()ed children: anything the experiment
  * bodies must observe from the test (gates, the simulation log path)
@@ -41,6 +42,7 @@
 #include "sim/result_store.hh"
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
+#include "trace/trace_cache.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define IBP_TSAN 1
@@ -188,9 +190,10 @@ class ShardServeTest : public ::testing::Test
     TearDown() override
     {
         unsetenv("IBP_EVENTS");
-        // The store is process-global; leaving it armed would warm
-        // every later test in this binary.
+        // The store and the trace cache are process-global; leaving
+        // them armed would warm every later test in this binary.
         ResultStore::configureGlobal("");
+        TraceCache::configureGlobal("");
         g_shard_sim_log.clear();
         std::error_code ec;
         std::filesystem::remove_all(_dir, ec);
@@ -343,6 +346,47 @@ TEST_F(ShardServeTest, ShardedFourLanesBitIdenticalToOneAndInProcess)
     EXPECT_EQ(stats.shardsAbandoned, 0u);
     EXPECT_EQ(stats.jobsCompleted, 1u);
     EXPECT_EQ(stats.laneCrashes, 0u);
+}
+
+TEST_F(ShardServeTest, ColdShardedJobReportsColdThenWarm)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = shardDiffExperiment();
+
+    // A fresh trace cache and store, armed before the lanes fork:
+    // the first job's shards generate every trace, the merge pass
+    // only reads them back from the cache. The job is cold.
+    TraceCache::configureGlobal(_state + "/trace-cache");
+    ResultStore::configureGlobal(_state + "/store");
+    auto server = makeServer(4);
+    ServedOutcome first_outcome;
+    const ExperimentRunResult first = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions(), &first_outcome);
+    ASSERT_TRUE(first_outcome.served) << first_outcome.fallbackReason;
+    ASSERT_EQ(first.exitCode, 0);
+    ASSERT_NE(first.artifact, nullptr);
+    ASSERT_TRUE(first.artifact->metrics.hasServe());
+    EXPECT_EQ(first.artifact->metrics.serve().shard.planned, 4u);
+    EXPECT_FALSE(first.artifact->metrics.serve().warm);
+
+    // The identical job again: nothing left to generate anywhere.
+    ServedOutcome second_outcome;
+    const ExperimentRunResult second = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions(), &second_outcome);
+    ASSERT_TRUE(second_outcome.served)
+        << second_outcome.fallbackReason;
+    ASSERT_EQ(second.exitCode, 0);
+    ASSERT_NE(second.artifact, nullptr);
+    ASSERT_TRUE(second.artifact->metrics.hasServe());
+    EXPECT_EQ(second.artifact->metrics.serve().shard.planned, 4u);
+    EXPECT_TRUE(second.artifact->metrics.serve().warm);
+    expectBitIdentical(*second.artifact, *first.artifact);
+
+    server->requestDrain();
+    server->waitStopped();
+    EXPECT_EQ(server->stats().jobsCompleted, 2u);
+    EXPECT_EQ(server->stats().warmHits, 1u);
 }
 
 TEST_F(ShardServeTest, MidShardSigkillNeverResimulatesFinishedCells)

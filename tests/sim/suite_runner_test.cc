@@ -135,8 +135,9 @@ TEST_F(SuiteRunnerTest, ThreadsEnvIsHonouredAndClamped)
 TEST_F(SuiteRunnerTest, GridsMatchAcrossThreadCounts)
 {
     // The parallel path at 8 threads against the serial path at 1 on
-    // the 12-column mix (every table kind, s=2, the selector hybrid):
-    // any divergence in the threading shows up as a counter mismatch.
+    // the diverse column mix (every table kind, s=2, the selector
+    // hybrid, full-precision path lengths): any divergence in the
+    // threading shows up as a counter mismatch.
     const auto columns = diverseColumns();
 
     setenv("IBP_THREADS", "8", 1);
